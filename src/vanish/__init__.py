@@ -43,7 +43,6 @@ from .theorems import (
     verify_ci_product,
     verify_multi,
     verify_regular_case,
-    verify_sp1,
     verify_sp2,
 )
 
@@ -61,7 +60,7 @@ __all__ = [
     "local_length_at_monomial_prime", "associativity_check",
     "verify_isolated_singularity",
     "HypothesisReport", "VerificationReport", "check_hypotheses",
-    "verify_sp1", "verify_sp2", "verify_multi", "verify_regular_case",
+    "verify_sp2", "verify_multi", "verify_regular_case",
     "verify_ci_product", "affine_vanishing_report", "monomial_curve_prime",
     "IdealFile",
     "VanishError", "RingMismatchError", "ParseError", "UnknownVariableError",

@@ -17,19 +17,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import config
 from .errors import (
     OrdSearchCapError,
     ParseError,
-    RingMismatchError,
     TermCapExceededError,
     UncertifiedSymbolicPowerError,
-    UnitIdealError,
     VanishError,
-    WitnessError,
-    ZeroDivisorRequestError,
 )
 from .fixtures import fixture_reports
 from .idealfile import IdealFile
@@ -42,7 +37,6 @@ from .theorems import (
     verify_ci_product,
     verify_multi,
     verify_regular_case,
-    verify_sp1,
     verify_sp2,
 )
 
@@ -60,20 +54,106 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class SessionConfig:
-    """Resolved run configuration; one instance per CLI invocation."""
+def _basis_lines(ideal, order: MonomialOrder = GREVLEX) -> list[str]:
+    return [g.render(order) for g in ideal.groebner_basis(order)]
 
-    file: str | None = None
-    order: MonomialOrder = GREVLEX
-    order_name: str = "grevlex"
-    fmt: str = "text"
-    out: str | None = None
-    seed: int | None = None
-    timings: bool = False
-    max_exp: int = 3
-    term_cap: int | None = None
-    jobs: int = 1
+
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _json_dump(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# file-based subcommands: each returns (JSON payload, text output)
+# ---------------------------------------------------------------------------
+
+def _gb(f: IdealFile, args):
+    lines = _basis_lines(f.ideal(args.ideal), _ORDERS[args.order])
+    return {"ideal": args.ideal, "order": args.order, "basis": lines}, _lines(lines)
+
+
+def _member(f: IdealFile, args):
+    ideal = f.ideal(args.ideal)
+    poly = parse_polynomial(args.poly, f.ring)
+    inside = poly in ideal
+    return ({"ideal": args.ideal, "poly": str(poly), "member": inside},
+            _flatten_value(inside) + "\n")
+
+
+def _intersect(f: IdealFile, args):
+    lines = _basis_lines(f.ideal(args.ideal).intersect(f.ideal(args.other)))
+    return {"ideals": [args.ideal, args.other], "basis": lines}, _lines(lines)
+
+
+def _saturate(f: IdealFile, args):
+    poly = parse_polynomial(args.poly, f.ring)
+    result, index = f.ideal(args.ideal).saturate(poly)
+    lines = _basis_lines(result)
+    return ({"ideal": args.ideal, "poly": str(poly), "saturation_index": index,
+             "basis": lines},
+            f"saturation index {index}\n" + _lines(lines))
+
+
+def _dim(f: IdealFile, args):
+    value = f.ideal(args.ideal).dimension()
+    return {"ideal": args.ideal, "dimension": value}, f"{value}\n"
+
+
+def _symbolic_power(f: IdealFile, args):
+    prime = f.prime_witness(args.ideal)
+    if args.m < 1:
+        raise ParseError("-m must be at least 1")
+    lines = _basis_lines(symbolic_power(prime, args.m))
+    return ({"ideal": args.ideal, "m": args.m, "certified": prime.certified,
+             "basis": lines}, _lines(lines))
+
+
+def _ord(f: IdealFile, args):
+    prime = f.prime_witness(args.ideal)
+    poly = parse_polynomial(args.poly, f.ring)
+    value = ord_along(prime, poly)
+    return {"ideal": args.ideal, "poly": str(poly), "order": value}, f"{value}\n"
+
+
+def _mult(f: IdealFile, args):
+    value = multiplicity_graded(f.ideal(args.ideal))
+    return {"ideal": args.ideal, "multiplicity": value}, f"{value}\n"
+
+
+_FILE_COMMANDS = {
+    "gb": ("reduced Groebner basis of a named ideal", _gb),
+    "member": ("test polynomial membership", _member),
+    "intersect": ("intersection of two named ideals", _intersect),
+    "saturate": ("saturation of a named ideal by a polynomial", _saturate),
+    "dim": ("Krull dimension of the quotient ring", _dim),
+    "symbolic-power": ("certified symbolic power of a declared prime",
+                       _symbolic_power),
+    "ord": ("order of vanishing along a declared prime", _ord),
+    "mult": ("Hilbert-Samuel multiplicity", _mult),
+}
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _common(p: argparse.ArgumentParser, file_required: bool = True,
+            csv_ok: bool = False) -> None:
+    """The flags every subcommand shares."""
+    p.add_argument("-f", "--file", required=file_required, metavar="PATH",
+                   help="ideal file (ring header + named ideals)")
+    p.add_argument("--json", action="store_true",
+                   help="emit a JSON report instead of text")
+    if csv_ok:
+        p.add_argument("--csv", action="store_true",
+                       help="emit CSV rows instead of text")
+    p.add_argument("--out", metavar="PATH",
+                   help="write the report to PATH instead of stdout")
+    p.add_argument("--term-cap", type=int, metavar="N",
+                   help="abort any product exceeding N terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,79 +163,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "containment checks over Q and GF(p).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, need_file: bool = True,
-               csv_ok: bool = False) -> None:
-        if need_file:
-            p.add_argument("-f", "--file", required=True,
-                           help="ideal file (ring header + named ideals)")
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON report instead of text")
-        if csv_ok:
-            p.add_argument("--csv", action="store_true",
-                           help="emit CSV rows instead of text")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the report to PATH instead of stdout")
-        p.add_argument("--term-cap", type=int, metavar="N",
-                       help="abort any product exceeding N terms")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallelism degree (results are identical "
-                            "for every value)")
-
-    p_gb = sub.add_parser("gb", help="reduced Groebner basis of a named ideal")
-    p_gb.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_gb.add_argument("--order", choices=sorted(_ORDERS), default="grevlex")
-    common(p_gb)
-
-    p_member = sub.add_parser("member", help="test polynomial membership")
-    p_member.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_member.add_argument("--poly", required=True, metavar="POLY")
-    common(p_member)
-
-    p_int = sub.add_parser("intersect", help="intersection of two named ideals")
-    p_int.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_int.add_argument("-j", "--other", required=True, metavar="NAME")
-    common(p_int)
-
-    p_sat = sub.add_parser("saturate",
-                           help="saturation of a named ideal by a polynomial")
-    p_sat.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_sat.add_argument("--poly", required=True, metavar="POLY")
-    common(p_sat)
-
-    p_dim = sub.add_parser("dim", help="Krull dimension of the quotient ring")
-    p_dim.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    common(p_dim)
-
-    p_sym = sub.add_parser("symbolic-power",
-                           help="certified symbolic power of a declared prime")
-    p_sym.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_sym.add_argument("-m", type=int, required=True, metavar="M")
-    common(p_sym)
-
-    p_ord = sub.add_parser("ord",
-                           help="order of vanishing along a declared prime")
-    p_ord.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    p_ord.add_argument("--poly", required=True, metavar="POLY")
-    common(p_ord)
-
-    p_mult = sub.add_parser("mult", help="Hilbert-Samuel multiplicity")
-    p_mult.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    common(p_mult)
+    cmd = {}
+    for name, (help_text, _) in _FILE_COMMANDS.items():
+        cmd[name] = sub.add_parser(name, help=help_text)
+        cmd[name].add_argument("-i", "--ideal", required=True, metavar="NAME")
+    cmd["gb"].add_argument("--order", choices=sorted(_ORDERS), default="grevlex")
+    cmd["intersect"].add_argument("-j", "--other", required=True, metavar="NAME")
+    for name in ("member", "saturate", "ord"):
+        cmd[name].add_argument("--poly", required=True, metavar="POLY")
+    cmd["symbolic-power"].add_argument("-m", type=int, required=True, metavar="M")
+    for p in cmd.values():
+        _common(p)
 
     p_assoc = sub.add_parser(
         "assoc-check",
         help="multiplicity additivity check for a monomial ideal")
     p_assoc.add_argument("-i", "--ideal", required=True, metavar="NAME")
-    common(p_assoc, csv_ok=True)
+    _common(p_assoc, csv_ok=True)
 
     p_verify = sub.add_parser(
         "verify", help="run a containment or product-equality verification")
     p_verify.add_argument("mode", choices=VERIFY_MODES)
     p_verify.add_argument("--fixtures", action="store_true",
                           help="run the bundled suite for this mode")
-    p_verify.add_argument("-f", "--file", metavar="PATH",
-                          help="ideal file for a single custom case")
     p_verify.add_argument("-i", "--ideal", metavar="NAME",
                           help="first ideal/prime name")
     p_verify.add_argument("-j", "--other", metavar="NAME",
@@ -175,60 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall-clock timings (breaks "
                                "byte-identical output)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--csv", action="store_true")
-    p_verify.add_argument("--out", metavar="PATH")
-    p_verify.add_argument("--term-cap", type=int, metavar="N")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N")
+    _common(p_verify, file_required=False, csv_ok=True)
     return parser
 
 
-def _session_from_args(args: argparse.Namespace) -> SessionConfig:
-    fmt = "text"
-    if getattr(args, "json", False) and getattr(args, "csv", False):
-        raise ParseError("choose at most one of --json and --csv")
-    if getattr(args, "json", False):
-        fmt = "json"
-    elif getattr(args, "csv", False):
-        fmt = "csv"
-    order_name = getattr(args, "order", "grevlex")
-    session = SessionConfig(
-        file=getattr(args, "file", None),
-        order=_ORDERS[order_name],
-        order_name=order_name,
-        fmt=fmt,
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", None),
-        timings=getattr(args, "timings", False),
-        max_exp=getattr(args, "max_exp", 3),
-        term_cap=getattr(args, "term_cap", None),
-        jobs=getattr(args, "jobs", 1),
-    )
-    if session.term_cap is not None:
-        if session.term_cap <= 0:
-            raise ParseError("--term-cap must be positive")
-        config.set_term_cap(session.term_cap)
-    if session.jobs < 1:
-        raise ParseError("--jobs must be at least 1")
-    if session.max_exp < 1:
-        raise ParseError("--max-exp must be at least 1")
-    return session
-
-
-def _emit(text: str, session: SessionConfig) -> None:
-    if session.out:
-        with open(session.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _basis_lines(ideal, order: MonomialOrder) -> list[str]:
-    return [g.render(order) for g in ideal.groebner_basis(order)]
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +263,16 @@ def _summary(reports: list[VerificationReport]) -> dict:
     }
 
 
-def _render_reports(reports: list[VerificationReport], session: SessionConfig,
+def _render_reports(reports: list[VerificationReport], args,
                     envelope: dict) -> str:
-    if session.fmt == "json":
+    if args.json:
         payload = dict(envelope)
-        payload["reports"] = [r.to_dict(include_timings=session.timings)
-                              for r in reports]
+        payload["reports"] = [
+            r.to_dict(include_timings=getattr(args, "timings", False))
+            for r in reports]
         payload["summary"] = _summary(reports)
         return _json_dump(payload)
-    if session.fmt == "csv":
+    if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["case", "claim", "applicable", "certified",
@@ -306,139 +293,35 @@ def _render_reports(reports: list[VerificationReport], session: SessionConfig,
             f"cases: {s['cases']}  holds: {s['holds']}  "
             f"failures: {s['failures']}  inapplicable: {s['inapplicable']}  "
             f"uncertified: {s['uncertified']}\n")
-    if session.seed is not None:
-        blocks.insert(0, f"seed: {session.seed}\n")
+    if envelope.get("seed") is not None:
+        blocks.insert(0, f"seed: {envelope['seed']}\n")
     return "\n".join(blocks)
 
 
-def _reports_exit(reports: list[VerificationReport]) -> int:
+def _emit_reports(reports: list[VerificationReport], args,
+                  envelope: dict) -> int:
+    _emit(_render_reports(reports, args, envelope), args.out)
     if any(r.is_failure for r in reports):
         return EXIT_CLAIM_FAILURE
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# report subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gb(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    ideal = f.ideal(args.ideal)
-    lines = _basis_lines(ideal, session.order)
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "gb", "ideal": args.ideal,
-                          "order": session.order_name, "basis": lines}),
-              session)
-    else:
-        _emit("".join(line + "\n" for line in lines), session)
-    return EXIT_OK
-
-
-def _cmd_member(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    ideal = f.ideal(args.ideal)
-    poly = parse_polynomial(args.poly, f.ring)
-    inside = poly in ideal
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "member", "ideal": args.ideal,
-                          "poly": str(poly), "member": inside}), session)
-    else:
-        _emit(("true" if inside else "false") + "\n", session)
-    return EXIT_OK
-
-
-def _cmd_intersect(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    result = f.ideal(args.ideal).intersect(f.ideal(args.other))
-    lines = _basis_lines(result, GREVLEX)
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "intersect", "ideals":
-                          [args.ideal, args.other], "basis": lines}), session)
-    else:
-        _emit("".join(line + "\n" for line in lines), session)
-    return EXIT_OK
-
-
-def _cmd_saturate(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    poly = parse_polynomial(args.poly, f.ring)
-    result, index = f.ideal(args.ideal).saturate(poly)
-    lines = _basis_lines(result, GREVLEX)
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "saturate", "ideal": args.ideal,
-                          "poly": str(poly), "saturation_index": index,
-                          "basis": lines}), session)
-    else:
-        _emit(f"saturation index {index}\n"
-              + "".join(line + "\n" for line in lines), session)
-    return EXIT_OK
-
-
-def _cmd_dim(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    value = f.ideal(args.ideal).dimension()
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "dim", "ideal": args.ideal,
-                          "dimension": value}), session)
-    else:
-        _emit(f"{value}\n", session)
-    return EXIT_OK
-
-
-def _cmd_symbolic_power(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    prime = f.prime_witness(args.ideal)
-    if args.m < 1:
-        raise ParseError("-m must be at least 1")
-    result = symbolic_power(prime, args.m)
-    lines = _basis_lines(result, GREVLEX)
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "symbolic-power", "ideal": args.ideal,
-                          "m": args.m, "certified": prime.certified,
-                          "basis": lines}), session)
-    else:
-        _emit("".join(line + "\n" for line in lines), session)
-    return EXIT_OK
-
-
-def _cmd_ord(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    prime = f.prime_witness(args.ideal)
-    poly = parse_polynomial(args.poly, f.ring)
-    value = ord_along(prime, poly)
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "ord", "ideal": args.ideal,
-                          "poly": str(poly), "order": value}), session)
-    else:
-        _emit(f"{value}\n", session)
-    return EXIT_OK
-
-
-def _cmd_mult(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
-    value = multiplicity_graded(f.ideal(args.ideal))
-    if session.fmt == "json":
-        _emit(_json_dump({"command": "mult", "ideal": args.ideal,
-                          "multiplicity": value}), session)
-    else:
-        _emit(f"{value}\n", session)
-    return EXIT_OK
-
-
-def _cmd_assoc_check(args, session: SessionConfig) -> int:
-    f = IdealFile.load(session.file)
+def _cmd_assoc_check(args) -> int:
+    f = IdealFile.load(args.file)
     report = associativity_check(f.ideal(args.ideal))
     report.case_id = args.ideal
-    _emit(_render_reports([report], session,
-                          {"command": "assoc-check"}), session)
-    return _reports_exit([report])
+    return _emit_reports([report], args, {"command": "assoc-check"})
 
 
-def _verify_single(args, session: SessionConfig) -> list[VerificationReport]:
-    if session.file is None:
+def _verify_single(args) -> list[VerificationReport]:
+    if args.file is None:
         raise ParseError(
             "verify needs --fixtures or an ideal file with -f")
-    f = IdealFile.load(session.file)
+    f = IdealFile.load(args.file)
     mode = args.mode
     if args.m < 1 or args.n < 1:
         raise ParseError("-m and -n must be at least 1")
@@ -470,55 +353,50 @@ def _verify_single(args, session: SessionConfig) -> list[VerificationReport]:
     elif mode == "regular":
         rep = verify_regular_case(f.prime_witness(args.ideal),
                                   f.prime_witness(args.other), args.m, args.n)
-    elif mode == "sp1":
-        rep = verify_sp1(f.prime_witness(args.ideal),
-                         f.prime_witness(args.other), args.m)
     else:
-        rep = verify_sp2(f.prime_witness(args.ideal),
-                         f.prime_witness(args.other), args.m, args.n)
+        rep = verify_sp2(f.prime_witness(args.ideal), f.prime_witness(args.other),
+                         args.m, 1 if mode == "sp1" else args.n)
     rep.case_id = case_id
     return [rep]
 
 
-def _cmd_verify(args, session: SessionConfig) -> int:
+def _cmd_verify(args) -> int:
+    if args.max_exp < 1:
+        raise ParseError("--max-exp must be at least 1")
     if args.fixtures:
         if args.file is not None:
             raise ParseError("--fixtures and -f are mutually exclusive")
-        reports = fixture_reports(args.mode, max_exp=session.max_exp)
+        reports = fixture_reports(args.mode, max_exp=args.max_exp)
     else:
-        reports = _verify_single(args, session)
+        reports = _verify_single(args)
     envelope = {"command": "verify", "mode": args.mode,
-                "max_exp": session.max_exp, "seed": session.seed}
-    _emit(_render_reports(reports, session, envelope), session)
-    return _reports_exit(reports)
+                "max_exp": args.max_exp, "seed": args.seed}
+    return _emit_reports(reports, args, envelope)
 
 
-_HANDLERS = {
-    "gb": _cmd_gb,
-    "member": _cmd_member,
-    "intersect": _cmd_intersect,
-    "saturate": _cmd_saturate,
-    "dim": _cmd_dim,
-    "symbolic-power": _cmd_symbolic_power,
-    "ord": _cmd_ord,
-    "mult": _cmd_mult,
-    "assoc-check": _cmd_assoc_check,
-    "verify": _cmd_verify,
-}
-
-
-def run(argv=None) -> int:
-    parser = build_parser()
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return code
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # --term-cap is per invocation; don't leak it to later in-process calls
     saved_cap = config.term_cap()
     try:
-        session = _session_from_args(args)
-        return _HANDLERS[args.command](args, session)
+        if args.json and getattr(args, "csv", False):
+            raise ParseError("choose at most one of --json and --csv")
+        if args.term_cap is not None:
+            if args.term_cap <= 0:
+                raise ParseError("--term-cap must be positive")
+            config.set_term_cap(args.term_cap)
+        if args.command == "assoc-check":
+            return _cmd_assoc_check(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        f = IdealFile.load(args.file)
+        payload, text = _FILE_COMMANDS[args.command][1](f, args)
+        _emit(_json_dump({"command": args.command, **payload}) if args.json
+              else text, args.out)
+        return EXIT_OK
     except UncertifiedSymbolicPowerError as exc:
         print(f"error: uncertified symbolic power: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
@@ -527,25 +405,11 @@ def run(argv=None) -> int:
     except (TermCapExceededError, OrdSearchCapError) as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, WitnessError, UnitIdealError, ZeroDivisorRequestError,
-            RingMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VanishError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (VanishError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         config.set_term_cap(saved_cap)
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -11,18 +11,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, 2015); larger characteristics are rejected.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -33,6 +47,9 @@ class CoefficientField:
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"prime field characteristic must be below "
+                             f"{MAX_CHARACTERISTIC}, got {self.p}")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"prime field characteristic must be prime, got {self.p}")
 
@@ -72,9 +89,6 @@ class CoefficientField:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def mul_int(self, a, n: int):
         """a times an integer scalar (used by differentiation)."""

@@ -234,10 +234,6 @@ class GroebnerBasis:
                     return False
         return True
 
-    @property
-    def reduced(self) -> bool:
-        return self.is_reduced()
-
     def is_reduced(self) -> bool:
         one = self.ring.field.one()
         for i, g in enumerate(self.polys):

@@ -120,11 +120,11 @@ def _parse_ring_header(line: str, path: str, lineno: int) -> PolyRing:
     if match is None:
         raise ParseError(
             f"{path}:{lineno}: expected 'ring Q[vars]' or 'ring GF(p)[vars]'")
-    field = QQ if match.group("p") is None else GF(int(match.group("p")))
     names = [v.strip() for v in match.group("vars").split(",") if v.strip()]
     if not names:
         raise ParseError(f"{path}:{lineno}: ring needs at least one variable")
     try:
+        field = QQ if match.group("p") is None else GF(int(match.group("p")))
         return PolyRing(field, names)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc

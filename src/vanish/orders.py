@@ -54,14 +54,6 @@ class MonomialOrder:
                      "grevlex": _grevlex_key}[self.inner]
         return (_grevlex_key(head), inner_key(tail))
 
-    def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
     def __str__(self):
         if self.kind == "block":
             return f"block(elim={list(self.elim)}, inner={self.inner})"

@@ -142,7 +142,10 @@ class _Parser:
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
-    return _Parser(text, ring).parse()
+    try:
+        return _Parser(text, ring).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_generators(text: str, ring: PolyRing) -> list[Polynomial]:

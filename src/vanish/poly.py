@@ -141,11 +141,6 @@ class Polynomial:
             return math.inf
         return min(sum(e) for e in self.terms)
 
-    def weighted_degree(self, weights: tuple[int, ...]) -> int | None:
-        if not self.terms:
-            return None
-        return max(_wdeg(e, weights) for e in self.terms)
-
     def degree_in(self, var_index: int) -> int:
         if not self.terms:
             return 0
@@ -160,13 +155,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX):
         return self.terms[self.leading_exps(order)]
-
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        return Polynomial(self.ring, {self.leading_exps(order): self.ring.field.one()})
-
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        e = self.leading_exps(order)
-        return Polynomial(self.ring, {e: self.terms[e]})
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:

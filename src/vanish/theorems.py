@@ -24,14 +24,19 @@ def full_coordinate_prime(ring: PolyRing) -> Ideal:
     return coordinate_prime(ring, ring.variables)
 
 
+def _radical_sum_is_maximal(ideals) -> bool:
+    """Is the radical of the summed ideals the origin's maximal ideal?"""
+    s = reduce(lambda a, b: a + b, ideals)
+    return s.is_proper() and all(
+        s.radical_contains(s.ring.variable(name)) for name in s.ring.variables
+    )
+
+
 def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
     """Radical-of-sum and dimension-count conditions for a prime pair."""
     if p.ring != q.ring:
         raise RingMismatchError(f"{p.ring} vs {q.ring}")
-    s = p.ideal + q.ideal
-    radical_ok = s.is_proper() and all(
-        s.radical_contains(p.ring.variable(name)) for name in p.ring.variables
-    )
+    radical_ok = _radical_sum_is_maximal([p.ideal, q.ideal])
     dim_p = p.claimed_dim
     dim_q = q.claimed_dim
     return HypothesisReport(
@@ -48,71 +53,85 @@ def _bridge_notes(*witnesses: PrimeWitness) -> list[str]:
     return ["graded bridge unverified"]
 
 
-def _uncertified_report(claim: str, hyp: HypothesisReport | None,
-                        exc: UncertifiedSymbolicPowerError,
-                        data: dict) -> VerificationReport:
+def _timed(timings: dict[str, float], phase: str, fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[phase] = time.perf_counter() - t0
+    return result
+
+
+def _check_exponents(*exponents: int) -> None:
+    if any(n < 1 for n in exponents):
+        raise ValueError("exponents must be positive")
+
+
+def _verify_symbolic(claim: str, primes, exponents, timings: dict[str, float],
+                     hyp: HypothesisReport | None, applicable: bool,
+                     data: dict, check) -> VerificationReport:
+    """The route shared by sp2, multi and regular: symbolic powers, the
+    reduced basis of their intersection, then ``check(basis)``, which
+    returns a basis element violating the claim or None.
+
+    A symbolic power that fails certification makes the report
+    inconclusive: neither applicable nor certified, with the failed
+    probes as notes.
+    """
+    try:
+        powers = _timed(timings, "symbolic", lambda: [
+            symbolic_power(p, n) for p, n in zip(primes, exponents)])
+    except UncertifiedSymbolicPowerError as exc:
+        return VerificationReport(
+            claim=claim,
+            hypotheses=hyp,
+            holds=False,
+            applicable=False,
+            certified=False,
+            notes=["inconclusive: " + str(exc)] + list(exc.diagnostics),
+            data=data,
+        )
+    basis = _timed(timings, "intersection", lambda: reduce(
+        lambda a, b: a.intersect(b), powers).groebner_basis().polys)
+    witness = _timed(timings, "check", check, basis)
     return VerificationReport(
         claim=claim,
         hypotheses=hyp,
-        holds=False,
-        applicable=False,
-        certified=False,
-        notes=["inconclusive: " + str(exc)] + list(exc.diagnostics),
+        holds=witness is None,
+        witness=witness,
+        timings=timings,
+        applicable=applicable,
+        certified=all(p.certified for p in primes),
+        notes=_bridge_notes(*primes),
         data=data,
     )
+
+
+def _order_check(bound: int, data: dict):
+    """Check for "every element has order at least ``bound`` at the
+    origin"; records the basis's minimal order in ``data``.
+
+    The order test is exact: a polynomial lies in the k-th power of the
+    origin's maximal ideal exactly when its lowest-degree term has degree
+    at least k, and an ideal lies there when its basis does.
+    """
+    def check(basis):
+        if basis:
+            data["min_order"] = int(min(g.order_at_origin() for g in basis))
+        return next((g for g in basis if g.order_at_origin() < bound), None)
+    return check
 
 
 def verify_sp2(p: PrimeWitness, q: PrimeWitness, m: int, n: int) -> VerificationReport:
     """Is every element of p^(m) cap q^(n) of order at least m + n?
 
-    The order test is exact: a polynomial lies in the k-th power of the
-    origin's maximal ideal exactly when its lowest-degree term has degree
-    at least k.  Failure produces a basis element of too-low order as a
-    replayable witness.
+    Failure produces a basis element of too-low order as a replayable
+    witness.
     """
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
+    _check_exponents(m, n)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    hyp = check_hypotheses(p, q)
-    timings["hypotheses"] = time.perf_counter() - t0
+    hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
     data = {"m": m, "n": n, "required_order": m + n}
-    t0 = time.perf_counter()
-    try:
-        sp = symbolic_power(p, m)
-        sq = symbolic_power(q, n)
-    except UncertifiedSymbolicPowerError as exc:
-        return _uncertified_report("sp2", hyp, exc, data)
-    timings["symbolic"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inter = sp.intersect(sq)
-    basis = inter.groebner_basis().polys
-    timings["intersection"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    witness = None
-    for g in basis:
-        if g.order_at_origin() < m + n:
-            witness = g
-            break
-    timings["check"] = time.perf_counter() - t0
-    if basis:
-        data["min_order"] = int(min(g.order_at_origin() for g in basis))
-    return VerificationReport(
-        claim="sp2",
-        hypotheses=hyp,
-        holds=witness is None,
-        witness=witness,
-        timings=timings,
-        applicable=hyp.all_hold,
-        certified=p.certified and q.certified,
-        notes=_bridge_notes(p, q),
-        data=data,
-    )
-
-
-def verify_sp1(p: PrimeWitness, q: PrimeWitness, m: int) -> VerificationReport:
-    """The n = 1 slice of verify_sp2, byte for byte."""
-    return verify_sp2(p, q, m, 1)
+    return _verify_symbolic("sp2", (p, q), (m, n), timings, hyp, hyp.all_hold,
+                            data, _order_check(m + n, data))
 
 
 def verify_multi(primes, exponents) -> VerificationReport:
@@ -127,57 +146,25 @@ def verify_multi(primes, exponents) -> VerificationReport:
         raise ValueError("at least one prime is required")
     if len(primes) != len(exponents):
         raise ValueError("one exponent per prime")
-    if any(n < 1 for n in exponents):
-        raise ValueError("exponents must be positive")
+    _check_exponents(*exponents)
     ring = primes[0].ring
     if any(p.ring != ring for p in primes):
         raise RingMismatchError("primes live in different rings")
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    d = ring.nvars
-    heights = [d - p.claimed_dim for p in primes]
-    heights_ok = sum(heights) == d
-    s = reduce(lambda a, b: a + b, (p.ideal for p in primes))
-    radical_ok = s.is_proper() and all(
-        s.radical_contains(ring.variable(name)) for name in ring.variables
-    )
-    timings["hypotheses"] = time.perf_counter() - t0
-    bound = sum(exponents)
+    heights = [ring.nvars - p.claimed_dim for p in primes]
+    heights_ok = sum(heights) == ring.nvars
+    radical_ok = _timed(timings, "hypotheses", _radical_sum_is_maximal,
+                        [p.ideal for p in primes])
     data = {
         "exponents": exponents,
         "heights": heights,
         "heights_sum_to_d": heights_ok,
         "radical_sum_is_maximal": radical_ok,
-        "required_order": bound,
+        "required_order": sum(exponents),
     }
-    t0 = time.perf_counter()
-    try:
-        powers = [symbolic_power(p, n) for p, n in zip(primes, exponents)]
-    except UncertifiedSymbolicPowerError as exc:
-        return _uncertified_report("multi", None, exc, data)
-    timings["symbolic"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inter = reduce(lambda a, b: a.intersect(b), powers)
-    basis = inter.groebner_basis().polys
-    timings["intersection"] = time.perf_counter() - t0
-    witness = None
-    for g in basis:
-        if g.order_at_origin() < bound:
-            witness = g
-            break
-    if basis:
-        data["min_order"] = int(min(g.order_at_origin() for g in basis))
-    return VerificationReport(
-        claim="multi",
-        hypotheses=None,
-        holds=witness is None,
-        witness=witness,
-        timings=timings,
-        applicable=heights_ok and radical_ok,
-        certified=all(p.certified for p in primes),
-        notes=_bridge_notes(*primes),
-        data=data,
-    )
+    return _verify_symbolic("multi", primes, exponents, timings, None,
+                            heights_ok and radical_ok, data,
+                            _order_check(sum(exponents), data))
 
 
 def affine_vanishing_report(f: Polynomial, p: PrimeWitness,
@@ -193,9 +180,7 @@ def affine_vanishing_report(f: Polynomial, p: PrimeWitness,
     if f not in p.ideal or f not in q.ideal:
         raise ValueError("f must lie in both primes")
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    hyp = check_hypotheses(p, q)
-    timings["hypotheses"] = time.perf_counter() - t0
+    hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
     t0 = time.perf_counter()
     m = ord_along(p, f)
     n = ord_along(q, f)
@@ -227,40 +212,16 @@ def verify_regular_case(p: PrimeWitness, q: PrimeWitness, m: int,
     maximal ideal."""
     if not p.is_coordinate_subspace:
         raise ValueError("p must be a coordinate-subspace prime")
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
+    _check_exponents(m, n)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    hyp = check_hypotheses(p, q)
-    timings["hypotheses"] = time.perf_counter() - t0
-    data = {"m": m, "n": n}
-    t0 = time.perf_counter()
-    try:
-        sp = symbolic_power(p, m)
-        sq = symbolic_power(q, n)
-    except UncertifiedSymbolicPowerError as exc:
-        return _uncertified_report("regular", hyp, exc, data)
-    timings["symbolic"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inter = sp.intersect(sq)
-    target = (p.ideal ** m) * (full_coordinate_prime(p.ring) ** n)
-    witness = None
-    for g in inter.groebner_basis().polys:
-        if g not in target:
-            witness = g
-            break
-    timings["check"] = time.perf_counter() - t0
-    return VerificationReport(
-        claim="regular",
-        hypotheses=hyp,
-        holds=witness is None,
-        witness=witness,
-        timings=timings,
-        applicable=hyp.all_hold,
-        certified=p.certified and q.certified,
-        notes=_bridge_notes(p, q),
-        data=data,
-    )
+    hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
+
+    def check(basis):
+        target = (p.ideal ** m) * (full_coordinate_prime(p.ring) ** n)
+        return next((g for g in basis if g not in target), None)
+
+    return _verify_symbolic("regular", (p, q), (m, n), timings, hyp,
+                            hyp.all_hold, {"m": m, "n": n}, check)
 
 
 def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
@@ -272,8 +233,7 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     polynomial ring; the radical and dimension-count conditions are
     reported alongside.
     """
-    if m < 1 or n < 1:
-        raise ValueError("exponents must be positive")
+    _check_exponents(m, n)
     if I.ring != J.ring:
         raise RingMismatchError(f"{I.ring} vs {J.ring}")
     ring = I.ring
@@ -283,10 +243,7 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     height_j = J.height()
     ci_i = height_i == len(I.gens)
     ci_j = height_j == len(J.gens)
-    s = I + J
-    radical_ok = s.is_proper() and all(
-        s.radical_contains(ring.variable(name)) for name in ring.variables
-    )
+    radical_ok = _radical_sum_is_maximal([I, J])
     dim_i = ring.nvars - height_i
     dim_j = ring.nvars - height_j
     hyp = HypothesisReport(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output strings, JSON schema conformance,
 determinism, and exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -29,6 +30,17 @@ CURVE_SP2_GB = [
     "x^2*y^3 - x^3*y*z - y^2*z^2 + x*z^3",
     "y^4 - 2*x*y^2*z + x^2*z^2",
 ]
+
+# sha256 of `vanish verify <mode> --fixtures --json`, recorded from the
+# original implementation (bench/fixture_digests.json holds the same values)
+FIXTURE_JSON_SHA256 = {
+    "sp1": "dadec07e0f9dda652406a7681255537fc0bce3231bd7e9babb65ae55b92c62b7",
+    "sp2": "5101b4f331565ef092abcaf1f6f143d2f1b3744d562c38547207e92d7b7e1103",
+    "multi": "a85980739a3b0641a50a6416cd68a455219adc727d0a59ff9b283cb151855e01",
+    "regular": "2347c606b53fea3a2af637ccf899195cbf102d866622781bab121b5448d80e60",
+    "ci": "7a6fe6d9c39cf2e128c356dd08d8d6f7bbab9e5c75e252cdfc45377858d7bcd0",
+    "affine": "1d12aec00f8c586c40adff20971117748f94928d3978c0232adaa7e985e3fc73",
+}
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +269,8 @@ class TestVerify:
         code, out, _ = run("verify", "sp1", "-f", ideal_file,
                            "-i", "p", "-j", "q", "-m", "2")
         assert code == 0 and "claim: sp2" in out
+        assert run("verify", "sp2", "-f", ideal_file, "-i", "p", "-j", "q",
+                   "-m", "2", "-n", "1")[:2] == (code, out)
 
     def test_affine_with_seed(self, run, ideal_file):
         code, out, _ = run("verify", "affine", "-f", ideal_file,
@@ -318,10 +332,14 @@ class TestDeterminism:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_does_not_change_output(self, run, ideal_file):
-        base = run("gb", "-f", ideal_file, "-i", "curve")
-        jobs = run("gb", "-f", ideal_file, "-i", "curve", "--jobs", "4")
-        assert base == jobs
+    @pytest.mark.parametrize("mode", sorted(FIXTURE_JSON_SHA256))
+    def test_fixture_json_matches_recorded_digest(self, run, tmp_path, mode):
+        target = tmp_path / f"{mode}.json"
+        code, out, _ = run("verify", mode, "--fixtures", "--json",
+                           "--out", str(target))
+        assert (code, out) == (0, "")
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == FIXTURE_JSON_SHA256[mode]
 
     def test_out_matches_stdout(self, run, ideal_file, tmp_path):
         _, stdout_text, _ = run("dim", "-f", ideal_file, "-i", "curve")
@@ -347,6 +365,16 @@ class TestExitCodes:
         assert run("gb", "-f", ideal_file, "-i", "p", "--jobs", "0")[0] == 2
         assert run("gb", "-f", ideal_file, "-i", "p", "--term-cap",
                    "-5")[0] == 2
+
+    def test_deep_nesting_exits_two(self, run, ideal_file, tmp_path):
+        nested = "(" * 3000 + "x" + ")" * 3000
+        code, _, err = run("member", "-f", ideal_file, "-i", "p",
+                           "--poly", nested)
+        assert code == 2 and "nested too deeply" in err
+        path = tmp_path / "deep.txt"
+        path.write_text(f"ring Q[x, y]\nideal I = {nested}\n", encoding="utf-8")
+        code, _, err = run("dim", "-f", str(path), "-i", "I")
+        assert code == 2 and f"{path}:2: expression nested too deeply" in err
 
     def test_help_exits_zero(self, run):
         code, out, _ = run("--help")
@@ -382,3 +410,12 @@ class TestGfRings:
         code, out, _ = run("member", "-f", str(path), "-i", "I",
                            "--poly", "8*x^2 + y + 7")
         assert (code, out) == (0, "true\n")
+
+    def test_large_prime_fields(self, run, tmp_path):
+        path = tmp_path / "gf.txt"
+        path.write_text("ring GF(2305843009213693951)[x, y]\nideal I = x*y\n",
+                        encoding="utf-8")
+        assert run("dim", "-f", str(path), "-i", "I")[:2] == (0, "1\n")
+        path.write_text("ring GF(4)[x, y]\nideal I = x\n", encoding="utf-8")
+        code, _, err = run("dim", "-f", str(path), "-i", "I")
+        assert code == 2 and f"{path}:1: prime field" in err

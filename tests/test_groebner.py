@@ -146,11 +146,10 @@ class TestGroebnerBasisObject:
         assert curve_basis.check_certificate()
 
     def test_reduced_flag(self, curve_basis, r3):
-        assert curve_basis.reduced
         assert curve_basis.is_reduced()
         x, y, z = r3.gens()
         sloppy = GroebnerBasis(r3, GREVLEX, (x**2, x**2 + y, y))
-        assert not sloppy.reduced
+        assert not sloppy.is_reduced()
 
     def test_membership(self, curve_basis, r3):
         x, y, z = r3.gens()

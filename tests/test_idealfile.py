@@ -52,6 +52,8 @@ class TestParsing:
         f = IdealFile.parse("ring GF( 7 )[a, b]\nideal m = a, b\n")
         assert f.ring.field == GF(7)
         assert f.ring.variables == ("a", "b")
+        f = IdealFile.parse("ring GF(2305843009213693951)[x, y]\nideal m = x, y\n")
+        assert f.ring.field == GF(2**61 - 1)
 
     def test_attribute_order_is_free(self):
         f = IdealFile.parse("ring Q[x, y]\nideal p = x dim=1 witness=y\n")
@@ -80,6 +82,9 @@ class TestErrors:
         self.parse_err("ring R[x]\n", "expected 'ring Q")
         self.parse_err("ring Q[]\n", "at least one variable")
         self.parse_err("ring Q[x, x]\n", "test.txt:1")
+        self.parse_err("ring GF(4)[x]\n", "test.txt:1: .* must be prime")
+        self.parse_err("ring GF(3317044064679887385961981)[x]\n",
+                       "test.txt:1: .* must be below")
 
     def test_duplicate_ideal(self):
         self.parse_err("ring Q[x]\nideal p = x\nideal p = x\n",

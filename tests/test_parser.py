@@ -120,6 +120,12 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_polynomial("x^y", r2)
 
+    def test_deep_nesting(self, r2):
+        for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_polynomial(text, r2)
+        assert parse_polynomial("(" * 50 + "x" + ")" * 50, r2) == r2.variable("x")
+
     def test_bad_character(self, r2):
         with pytest.raises(ParseError):
             parse_polynomial("x 国 y", r2)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import schoolbook_mul
 from vanish.errors import RingMismatchError, TermCapExceededError
-from vanish.fields import GF, QQ, CoefficientField
+from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
 from vanish.orders import GREVLEX, LEX
 from vanish.poly import PolyRing, Polynomial
 
@@ -30,6 +30,28 @@ class TestCoefficientField:
             GF(6)
         with pytest.raises(ValueError):
             GF(1)
+
+    def test_primality_matches_sieve(self):
+        limit = 200_000
+        sieve = [False, False] + [True] * (limit - 2)
+        for k in range(2, int(limit ** 0.5) + 1):
+            if sieve[k]:
+                sieve[k * k::k] = [False] * len(range(k * k, limit, k))
+        assert [n for n in range(limit) if _is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the first 4 and the first 12 prime bases
+        for n in (3215031751, 318665857834031151167461):
+            assert not _is_prime(n)
+            with pytest.raises(ValueError, match="must be prime"):
+                GF(n)
+
+    def test_large_characteristics(self):
+        assert GF(2**61 - 1).characteristic == 2**61 - 1
+        for n in (MAX_CHARACTERISTIC, 2**89 - 1):
+            with pytest.raises(ValueError, match="must be below"):
+                GF(n)
 
     def test_field_identity(self):
         assert GF(7) == GF(7)

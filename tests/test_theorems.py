@@ -21,7 +21,6 @@ from vanish.theorems import (
     verify_ci_product,
     verify_multi,
     verify_regular_case,
-    verify_sp1,
     verify_sp2,
 )
 
@@ -93,7 +92,10 @@ class TestSp2:
 
     def test_sp1_is_the_n1_slice(self):
         p, q = transverse_split_pair(3, 1)
-        assert verify_sp1(p, q, 2).to_dict() == verify_sp2(p, q, 2, 1).to_dict()
+        rep = verify_sp2(p, q, 2, 1)
+        rep.case_id = "split/d3-i1/m2"
+        sp1 = {r.case_id: r.to_dict() for r in fixture_reports("sp1", max_exp=2)}
+        assert sp1[rep.case_id] == rep.to_dict()
 
     def test_exponent_validation(self):
         p, q = transverse_split_pair(2, 1)
