@@ -47,6 +47,7 @@ _ORDERS: dict[str, MonomialOrder] = {
 }
 
 VERIFY_MODES = ("sp1", "sp2", "multi", "regular", "ci", "affine")
+DEFAULT_MAX_EXP = 3
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -198,8 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="polynomial to test (affine mode)")
     p_verify.add_argument("-m", type=int, default=1, metavar="M")
     p_verify.add_argument("-n", type=int, default=1, metavar="N")
-    p_verify.add_argument("--max-exp", type=int, default=3, metavar="K",
-                          help="fixture exponent sweep bound (default 3)")
+    p_verify.add_argument("--max-exp", type=int, default=DEFAULT_MAX_EXP,
+                          metavar="K",
+                          help="exponent sweep bound of the sp1 and sp2 "
+                               "--fixtures suites (default 3); applies "
+                               "only to those suites")
     p_verify.add_argument("--seed", type=int, metavar="SEED",
                           help="echoed into the report envelope")
     p_verify.add_argument("--timings", action="store_true",
@@ -355,12 +359,18 @@ def _verify_single(args) -> list[VerificationReport]:
                                   f.prime_witness(args.other), args.m, args.n)
     else:
         rep = verify_sp2(f.prime_witness(args.ideal), f.prime_witness(args.other),
-                         args.m, 1 if mode == "sp1" else args.n)
+                         args.m, args.n)
     rep.case_id = case_id
     return [rep]
 
 
 def _cmd_verify(args) -> int:
+    if args.mode == "sp1" and args.n != 1:
+        raise ParseError("sp1 mode has n = 1; use sp2 for -n other than 1")
+    if args.max_exp != DEFAULT_MAX_EXP and not (
+            args.fixtures and args.mode in ("sp1", "sp2")):
+        raise ParseError("--max-exp applies only to the sp1 and sp2 "
+                         "--fixtures suites")
     if args.max_exp < 1:
         raise ParseError("--max-exp must be at least 1")
     if args.fixtures:

@@ -10,6 +10,7 @@ ideal equality decidable by comparing bases.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .config import term_cap
@@ -125,28 +126,32 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Pair selection follows the normal strategy (smallest lcm first).
-    Pairs with coprime leading monomials are discarded outright, and the
-    chain criterion drops a pair when a third basis element divides its
-    lcm and both side pairs are already handled.
+    Pair selection follows the normal strategy (smallest lcm first): the
+    pair queue is a heap keyed once per pair by the order key of its lcm,
+    ties broken by ``(i, j)``.  Pairs with coprime leading monomials are
+    discarded outright, and the chain criterion drops a pair when a third
+    basis element divides its lcm and both side pairs are already handled.
     """
     G = [g.monic(order) for g in gens if not g.is_zero()]
     if any(g.is_constant() for g in G):
         return [ring.one()]
     lead = [g.leading_exps(order) for g in G]
-    pairs = {(i, j) for j in range(len(G)) for i in range(j)}
     key = order.key
+    queue = []      # heap of (key(lcm), (i, j), lcm)
+    pairs = set()   # the pending pairs, as the chain criterion reads them
 
-    def pair_rank(ij):
-        i, j = ij
-        return (key(monomial_lcm(lead[i], lead[j])), ij)
+    def add_pairs(t):
+        for k in range(t):
+            l = monomial_lcm(lead[k], lead[t])
+            heapq.heappush(queue, (key(l), (k, t), l))
+            pairs.add((k, t))
 
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
+    for t in range(len(G)):
+        add_pairs(t)
+    while queue:
+        _, (i, j), l = heapq.heappop(queue)
         pairs.discard((i, j))
-        li, lj = lead[i], lead[j]
-        l = monomial_lcm(li, lj)
-        if l == monomial_mul(li, lj):
+        if l == monomial_mul(lead[i], lead[j]):
             continue
         if any(
             k != i and k != j
@@ -162,10 +167,9 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
         if r.is_constant():
             return [ring.one()]
         r = r.monic(order)
-        t = len(G)
         G.append(r)
         lead.append(r.leading_exps(order))
-        pairs.update((k, t) for k in range(t))
+        add_pairs(len(G) - 1)
 
     G = _minimalize(G, order)
     G = _interreduce(G, order)

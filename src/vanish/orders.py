@@ -35,24 +35,17 @@ class MonomialOrder:
                 raise ValueError(f"unknown inner order {self.inner!r}")
         elif self.elim:
             raise ValueError("elim indices only make sense for block orders")
+        # the key function is chosen once; it is not a field, so equality
+        # and hashing still see only kind, elim and inner
+        object.__setattr__(self, "_key", _block_key(self.elim, _KEYS[self.inner])
+                           if self.kind == "block" else _KEYS[self.kind])
+
+    def __reduce__(self):
+        # rebuild through __init__: the compiled key is not picklable
+        return MonomialOrder, (self.kind, self.elim, self.inner)
 
     def key(self, exps: tuple[int, ...]):
-        k = self.kind
-        if k == "lex":
-            return exps
-        if k == "grlex":
-            return (sum(exps), exps)
-        if k == "grevlex":
-            return _grevlex_key(exps)
-        # block: compare the eliminated variables first (grevlex among
-        # themselves), then the rest by the inner order
-        elim_set = set(self.elim)
-        head = tuple(exps[i] for i in self.elim)
-        tail = tuple(e for i, e in enumerate(exps) if i not in elim_set)
-        inner_key = {"lex": lambda t: t,
-                     "grlex": lambda t: (sum(t), t),
-                     "grevlex": _grevlex_key}[self.inner]
-        return (_grevlex_key(head), inner_key(tail))
+        return self._key(exps)
 
     def __str__(self):
         if self.kind == "block":
@@ -64,6 +57,25 @@ def _grevlex_key(exps: tuple[int, ...]):
     # Ties by total degree break in favor of the monomial with the
     # *smaller* exponent on the last variable, then second-to-last, etc.
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+_KEYS = {
+    "lex": lambda exps: exps,
+    "grlex": lambda exps: (sum(exps), exps),
+    "grevlex": _grevlex_key,
+}
+
+
+def _block_key(elim: tuple[int, ...], inner_key):
+    # compare the eliminated variables first (grevlex among themselves),
+    # then the rest by the inner order
+    k = len(elim)
+    if elim == tuple(range(k)):
+        return lambda exps: (_grevlex_key(exps[:k]), inner_key(exps[k:]))
+    elim_set = frozenset(elim)
+    return lambda exps: (
+        _grevlex_key(tuple(exps[i] for i in elim)),
+        inner_key(tuple(e for i, e in enumerate(exps) if i not in elim_set)))
 
 
 GREVLEX = MonomialOrder("grevlex")

@@ -98,12 +98,13 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._lead = None   # (order, exps) of the last leading_exps lookup
 
     # -- predicates ----------------------------------------------------
 
@@ -149,9 +150,14 @@ class Polynomial:
     # -- leading data (relative to a monomial order) --------------------
 
     def leading_exps(self, order: MonomialOrder = GREVLEX) -> tuple[int, ...]:
+        lead = self._lead
+        if lead is not None and lead[0] is order:
+            return lead[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        exps = max(self.terms, key=order.key)
+        self._lead = (order, exps)
+        return exps
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX):
         return self.terms[self.leading_exps(order)]

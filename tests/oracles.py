@@ -183,3 +183,30 @@ def schoolbook_mul(f: Polynomial, g: Polynomial) -> Polynomial:
             acc[key] = field.add(cur, field.mul(ca, cb))
     acc = {e: c for e, c in acc.items() if c}
     return Polynomial(f.ring, acc)
+
+
+# ---------------------------------------------------------------------------
+# monomial order keys
+# ---------------------------------------------------------------------------
+
+def _grevlex_key(exps: tuple[int, ...]):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def order_key(order, exps: tuple[int, ...]):
+    """Sort key of ``exps`` under ``order``, rebuilt from the order's fields
+    on every call: larger keys mean larger monomials."""
+    k = order.kind
+    if k == "lex":
+        return exps
+    if k == "grlex":
+        return (sum(exps), exps)
+    if k == "grevlex":
+        return _grevlex_key(exps)
+    elim_set = set(order.elim)
+    head = tuple(exps[i] for i in order.elim)
+    tail = tuple(e for i, e in enumerate(exps) if i not in elim_set)
+    inner_key = {"lex": lambda t: t,
+                 "grlex": lambda t: (sum(t), t),
+                 "grevlex": _grevlex_key}[order.inner]
+    return (_grevlex_key(head), inner_key(tail))

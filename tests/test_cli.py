@@ -272,6 +272,20 @@ class TestVerify:
         assert run("verify", "sp2", "-f", ideal_file, "-i", "p", "-j", "q",
                    "-m", "2", "-n", "1")[:2] == (code, out)
 
+    def test_sp1_rejects_n(self, run, ideal_file):
+        for source in (("-f", ideal_file, "-i", "p", "-j", "q"), ("--fixtures",)):
+            code, out, err = run("verify", "sp1", *source, "-n", "2")
+            assert (code, out) == (2, "") and "use sp2" in err
+
+    def test_max_exp_applies_only_to_sp_fixture_suites(self, run, ideal_file):
+        single = ("sp2", "-f", ideal_file, "-i", "p", "-j", "q")
+        for args in (("multi", "--fixtures"), ("affine", "--fixtures"), single):
+            code, out, err = run("verify", *args, "--max-exp", "2")
+            assert (code, out) == (2, "")
+            assert "applies only to the sp1 and sp2 --fixtures suites" in err
+        # the default value stays accepted everywhere
+        assert run("verify", *single, "--max-exp", "3") == run("verify", *single)
+
     def test_affine_with_seed(self, run, ideal_file):
         code, out, _ = run("verify", "affine", "-f", ideal_file,
                            "-i", "p", "-j", "q", "--poly", "x*z",

@@ -2,8 +2,10 @@
 
 import pytest
 
+from vanish import groebner
 from vanish.errors import TermCapExceededError
 from vanish.fields import GF, QQ
+from vanish.fixtures import curated_sp2_pairs
 from vanish.groebner import (
     GroebnerBasis,
     buchberger,
@@ -13,6 +15,7 @@ from vanish.groebner import (
 )
 from vanish.orders import GREVLEX, LEX
 from vanish.poly import PolyRing
+from vanish.theorems import verify_sp2
 
 
 def as_strs(polys):
@@ -125,6 +128,23 @@ class TestBuchberger:
         gens = [y**2 - x * z, x**2 * y - z**2, x**3 - y * z]
         assert buchberger(r3, gens, GREVLEX) == \
             buchberger(r3, list(reversed(gens)), GREVLEX)
+
+    def test_curated_sp2_suite_pair_count(self, monkeypatch):
+        # Which S-polynomials get formed depends on the order pairs leave
+        # the queue and on the chain criterion's view of pending pairs, so
+        # this machine-independent count pins both.
+        calls = []
+
+        def counting_spoly(*args):
+            calls.append(None)
+            return spoly(*args)
+
+        monkeypatch.setattr(groebner, "spoly", counting_spoly)
+        for _, p, q in curated_sp2_pairs():
+            for m in (1, 2):
+                for n in (1, 2):
+                    verify_sp2(p, q, m, n)
+        assert len(calls) == 3068
 
     def test_prime_field_basis(self):
         ring = PolyRing(GF(7), ("x", "y"))

@@ -1,8 +1,19 @@
 """Monomial orders: classical comparisons and the block elimination order."""
 
-import pytest
+import pickle
 
-from vanish.orders import GREVLEX, GRLEX, LEX, elimination_order
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from oracles import order_key
+from vanish.orders import GREVLEX, GRLEX, LEX, MonomialOrder, elimination_order
+
+# every kind and every inner order; (1, 3) and (2, 0) are not prefixes
+ALL_ORDERS = [LEX, GRLEX, GREVLEX] + [
+    MonomialOrder("block", elim=elim, inner=inner)
+    for elim in ((0,), (0, 1), (1, 3), (2, 0))
+    for inner in ("lex", "grlex", "grevlex")]
 
 
 def sort_desc(order, exps):
@@ -81,6 +92,13 @@ class TestEliminationOrder:
             elimination_order(1, inner="mystery")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_ORDERS),
+       st.lists(st.integers(0, 5), min_size=4, max_size=6).map(tuple))
+def test_key_matches_reference(order, exps):
+    assert order.key(exps) == order_key(order, exps)
+
+
 class TestOrderIdentity:
     def test_singletons_compare(self):
         assert GREVLEX == GREVLEX
@@ -90,3 +108,9 @@ class TestOrderIdentity:
         cache = {GREVLEX: 1, LEX: 2, elimination_order(1): 3}
         assert cache[GREVLEX] == 1
         assert cache[elimination_order(1)] == 3
+
+    def test_pickle_round_trip(self):
+        order = MonomialOrder("block", elim=(1, 3), inner="lex")
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy == order
+        assert copy.key((1, 2, 3, 4)) == order.key((1, 2, 3, 4))

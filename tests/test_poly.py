@@ -8,7 +8,7 @@ import pytest
 from oracles import schoolbook_mul
 from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
-from vanish.orders import GREVLEX, LEX
+from vanish.orders import GREVLEX, LEX, elimination_order
 from vanish.poly import PolyRing, Polynomial
 
 
@@ -191,6 +191,16 @@ class TestLeadingData:
         f = 3 * x**2 + 6 * y
         assert f.monic(GREVLEX) == x**2 + 2 * y
         assert r2.zero().monic(GREVLEX).is_zero()
+
+    def test_leading_cache_follows_the_order(self, r3):
+        x, y, z = r3.gens()
+        f = x * y + x * z**3 + y**4
+        elim, elim_again = elimination_order(1), elimination_order(1)
+        assert elim == elim_again and elim is not elim_again
+        expected = [(GREVLEX, (0, 4, 0)), (LEX, (1, 1, 0)), (elim, (1, 0, 3)),
+                    (elim_again, (1, 0, 3)), (GREVLEX, (0, 4, 0))]
+        for order, exps in expected:
+            assert f.leading_exps(order) == max(f.terms, key=order.key) == exps
 
     def test_zero_has_no_leading_term(self, r2):
         with pytest.raises(ValueError):
