@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated exponents (multi mode)")
     p_verify.add_argument("--poly", metavar="POLY",
                           help="polynomial to test (affine mode)")
-    p_verify.add_argument("-m", type=int, default=1, metavar="M")
-    p_verify.add_argument("-n", type=int, default=1, metavar="N")
+    p_verify.add_argument("-m", type=int, metavar="M")
+    p_verify.add_argument("-n", type=int, metavar="N")
     p_verify.add_argument("--max-exp", type=int, default=DEFAULT_MAX_EXP,
                           metavar="K",
                           help="exponent sweep bound of the sp1 and sp2 "
@@ -327,7 +327,8 @@ def _verify_single(args) -> list[VerificationReport]:
             "verify needs --fixtures or an ideal file with -f")
     f = IdealFile.load(args.file)
     mode = args.mode
-    if args.m < 1 or args.n < 1:
+    m, n = (1 if v is None else v for v in (args.m, args.n))
+    if m < 1 or n < 1:
         raise ParseError("-m and -n must be at least 1")
     if mode == "multi":
         if not args.primes or not args.exponents:
@@ -346,8 +347,7 @@ def _verify_single(args) -> list[VerificationReport]:
         raise ParseError(f"{mode} mode needs -i and -j ideal names")
     case_id = f"{args.ideal}-vs-{args.other}"
     if mode == "ci":
-        rep = verify_ci_product(f.ideal(args.ideal), f.ideal(args.other),
-                                args.m, args.n)
+        rep = verify_ci_product(f.ideal(args.ideal), f.ideal(args.other), m, n)
     elif mode == "affine":
         if not args.poly:
             raise ParseError("affine mode needs --poly")
@@ -356,16 +356,16 @@ def _verify_single(args) -> list[VerificationReport]:
                                       f.prime_witness(args.other))
     elif mode == "regular":
         rep = verify_regular_case(f.prime_witness(args.ideal),
-                                  f.prime_witness(args.other), args.m, args.n)
+                                  f.prime_witness(args.other), m, n)
     else:
         rep = verify_sp2(f.prime_witness(args.ideal), f.prime_witness(args.other),
-                         args.m, args.n)
+                         m, n)
     rep.case_id = case_id
     return [rep]
 
 
 def _cmd_verify(args) -> int:
-    if args.mode == "sp1" and args.n != 1:
+    if args.mode == "sp1" and args.n not in (None, 1):
         raise ParseError("sp1 mode has n = 1; use sp2 for -n other than 1")
     if args.max_exp != DEFAULT_MAX_EXP and not (
             args.fixtures and args.mode in ("sp1", "sp2")):
@@ -373,6 +373,10 @@ def _cmd_verify(args) -> int:
                          "--fixtures suites")
     if args.max_exp < 1:
         raise ParseError("--max-exp must be at least 1")
+    if (args.m, args.n) != (None, None) and (
+            args.fixtures or args.mode in ("multi", "affine")):
+        where = "--fixtures" if args.fixtures else f"{args.mode} mode"
+        raise ParseError(f"-m and -n do not apply to {where}")
     if args.fixtures:
         if args.file is not None:
             raise ParseError("--fixtures and -f are mutually exclusive")

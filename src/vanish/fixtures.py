@@ -145,8 +145,8 @@ def fixture_reports(mode: str, max_exp: int = 3) -> list[VerificationReport]:
     to format them.
     """
     builders = {
-        "sp2": _sp2_fixtures,
-        "sp1": _sp1_fixtures,
+        "sp2": lambda k: _sp_fixtures(k, _exp_range(k), 2, "m{m}-n{n}"),
+        "sp1": lambda k: _sp_fixtures(k, (1,), 1, "m{m}"),
         "multi": _multi_fixtures,
         "regular": _regular_fixtures,
         "ci": _ci_fixtures,
@@ -166,37 +166,21 @@ def _tag(rep: VerificationReport, case_id: str) -> VerificationReport:
     return rep
 
 
-def _sp2_fixtures(max_exp: int) -> list[VerificationReport]:
-    reports = []
-    p, q = crossing_lines_pair()
-    reports.append(_tag(verify_sp2(p, q, 1, 1), "crossing-lines/m1-n1"))
+def _sp_fixtures(max_exp: int, n_range, curve_n: int,
+                 suffix: str) -> list[VerificationReport]:
+    """The sp2 suite, or its n = 1 slice (sp1); ``suffix`` formats m and n
+    into the end of each case id."""
+    cases = [("crossing-lines", crossing_lines_pair(), 1, 1)]
     for d in (2, 3, 4):
         for i in range(1, d):
-            sp, sq = transverse_split_pair(d, i)
-            for m in _exp_range(max_exp):
-                for n in _exp_range(max_exp):
-                    reports.append(_tag(verify_sp2(sp, sq, m, n),
-                                        f"split/d{d}-i{i}/m{m}-n{n}"))
+            pair = transverse_split_pair(d, i)
+            cases += [(f"split/d{d}-i{i}", pair, m, n)
+                      for m in _exp_range(max_exp) for n in n_range]
     curve = curve_345()
     plane = PrimeWitness(coordinate_prime(curve.ring, ["z"]))
-    reports.append(_tag(verify_sp2(curve, plane, 2, 2), "curve-345-vs-z-plane/m2-n2"))
-    return reports
-
-
-def _sp1_fixtures(max_exp: int) -> list[VerificationReport]:
-    reports = []
-    p, q = crossing_lines_pair()
-    reports.append(_tag(verify_sp2(p, q, 1, 1), "crossing-lines/m1"))
-    for d in (2, 3, 4):
-        for i in range(1, d):
-            sp, sq = transverse_split_pair(d, i)
-            for m in _exp_range(max_exp):
-                reports.append(_tag(verify_sp2(sp, sq, m, 1),
-                                    f"split/d{d}-i{i}/m{m}"))
-    curve = curve_345()
-    plane = PrimeWitness(coordinate_prime(curve.ring, ["z"]))
-    reports.append(_tag(verify_sp2(curve, plane, 2, 1), "curve-345-vs-z-plane/m2"))
-    return reports
+    cases.append(("curve-345-vs-z-plane", (curve, plane), 2, curve_n))
+    return [_tag(verify_sp2(*pair, m, n), f"{name}/" + suffix.format(m=m, n=n))
+            for name, pair, m, n in cases]
 
 
 def _multi_fixtures(max_exp: int) -> list[VerificationReport]:

@@ -1,5 +1,9 @@
 """Multivariate division and Buchberger's algorithm.
 
+Division has one loop, ``_reduce``, behind both :func:`divmod_poly` and
+:func:`normal_form`.  It keeps the pending terms in a dict beside a heap
+keyed by ``order.desc_key``, so each term is keyed once, when it enters.
+
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
 divisibility, no term of any element divisible by another element's
@@ -37,17 +41,12 @@ def _sub_scaled(p: dict, g: dict, coeff, shift, fld):
             p.pop(key, None)
 
 
-def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
-    """Divide f by an ordered list of divisors: f = sum(q_i d_i) + r.
-
-    The first divisor whose leading monomial divides the current leading
-    monomial is used at each step, so the outcome is deterministic.  No
-    term of the remainder is divisible by any divisor's leading monomial.
-    """
-    ring = f.ring
-    fld = ring.field
+def _reduce(f: Polynomial, divisors, order: MonomialOrder, quotients=None) -> dict:
+    """Remainder terms of f on division by the divisors, each step using
+    the first that divides; quotient terms go to ``quotients[i]`` if given."""
+    fld = f.ring.field
     cap = term_cap()
-    key = order.key
+    dkey = order.desc_key
     div_data = []
     for d in divisors:
         if d.is_zero():
@@ -56,59 +55,61 @@ def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
             le = d.leading_exps(order)
             div_data.append((le, fld.inv(d.terms[le]), d.terms))
     p = dict(f.terms)
-    quotients: list[dict] = [{} for _ in divisors]
+    heap = [(dkey(m), m) for m in p]
+    heapq.heapify(heap)
     remainder: dict = {}
-    while p:
-        lt = max(p, key=key)
-        lc = p[lt]
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        lc = p.pop(lt, None)
+        if lc is None:
+            continue        # stale: the term cancelled after it was pushed
         for i, data in enumerate(div_data):
-            if data is None:
+            if data is None or not monomial_divides(data[0], lt):
                 continue
             le, lc_inv, dterms = data
-            if monomial_divides(le, lt):
-                shift = monomial_div(lt, le)
-                factor = fld.mul(lc, lc_inv)
+            shift = monomial_div(lt, le)
+            factor = fld.mul(lc, lc_inv)
+            if quotients is not None:
                 quotients[i][shift] = factor
-                _sub_scaled(p, dterms, factor, shift, fld)
-                break
+            # p -= factor * x^shift * d; the leading term cancels lt
+            for e, c in dterms.items():
+                if e == le:
+                    continue
+                m = monomial_mul(e, shift)
+                v = fld.mul(factor, c)
+                if m in p:
+                    v = fld.sub(p[m], v)
+                else:
+                    v = fld.neg(v)
+                    heapq.heappush(heap, (dkey(m), m))
+                if v:
+                    p[m] = v
+                else:
+                    del p[m]
+            break
         else:
             remainder[lt] = lc
-            del p[lt]
-        if len(p) > cap:
-            raise TermCapExceededError(
-                f"division intermediate exceeds the term cap ({cap}); "
-                "set VANISH_TERM_CAP to raise it")
-    return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
-
-
-def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Remainder of f on division by the basis (quotients not tracked)."""
-    ring = f.ring
-    fld = ring.field
-    cap = term_cap()
-    key = order.key
-    div_data = []
-    for d in basis:
-        if not d.is_zero():
-            le = d.leading_exps(order)
-            div_data.append((le, fld.inv(d.terms[le]), d.terms))
-    p = dict(f.terms)
-    remainder: dict = {}
-    while p:
-        lt = max(p, key=key)
-        lc = p[lt]
-        for le, lc_inv, dterms in div_data:
-            if monomial_divides(le, lt):
-                _sub_scaled(p, dterms, fld.mul(lc, lc_inv), monomial_div(lt, le), fld)
-                break
-        else:
-            remainder[lt] = lc
-            del p[lt]
         if len(p) > cap:
             raise TermCapExceededError(
                 f"reduction intermediate exceeds the term cap ({cap}); "
                 "set VANISH_TERM_CAP to raise it")
-    return Polynomial(ring, remainder)
+    return remainder
+
+
+def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
+    """Divide f by an ordered list of divisors: f = sum(q_i d_i) + r.
+
+    No term of the remainder is divisible by any divisor's leading
+    monomial; zero divisors get zero quotients.
+    """
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder = _reduce(f, divisors, order, quotients)
+    return [Polynomial(f.ring, q) for q in quotients], Polynomial(f.ring, remainder)
+
+
+def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
+    """Remainder of f on division by the basis (quotients not tracked)."""
+    return Polynomial(f.ring, _reduce(f, basis, order))
 
 
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:

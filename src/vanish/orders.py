@@ -9,7 +9,7 @@ An order is a sort key on exponent tuples.  Supported kinds:
                by grevlex first, remaining variables by an inner order
 
 Keys are built so that Python's native tuple comparison ranks monomials,
-with larger keys meaning larger monomials.
+with larger keys meaning larger monomials; ``desc_key`` ranks in reverse.
 """
 
 from __future__ import annotations
@@ -35,17 +35,23 @@ class MonomialOrder:
                 raise ValueError(f"unknown inner order {self.inner!r}")
         elif self.elim:
             raise ValueError("elim indices only make sense for block orders")
-        # the key function is chosen once; it is not a field, so equality
-        # and hashing still see only kind, elim and inner
-        object.__setattr__(self, "_key", _block_key(self.elim, _KEYS[self.inner])
-                           if self.kind == "block" else _KEYS[self.kind])
+        # the key functions are chosen once; they are not fields, so
+        # equality and hashing still see only kind, elim and inner
+        for attr, keys in (("_key", _KEYS), ("_desc_key", _DESC_KEYS)):
+            object.__setattr__(self, attr, _block_key(
+                self.elim, keys["grevlex"], keys[self.inner])
+                if self.kind == "block" else keys[self.kind])
 
     def __reduce__(self):
-        # rebuild through __init__: the compiled key is not picklable
+        # rebuild through __init__: the compiled keys are not picklable
         return MonomialOrder, (self.kind, self.elim, self.inner)
 
     def key(self, exps: tuple[int, ...]):
         return self._key(exps)
+
+    def desc_key(self, exps: tuple[int, ...]):
+        """desc_key(a) < desc_key(b) exactly when key(a) > key(b)."""
+        return self._desc_key(exps)
 
     def __str__(self):
         if self.kind == "block":
@@ -53,28 +59,31 @@ class MonomialOrder:
         return self.kind
 
 
-def _grevlex_key(exps: tuple[int, ...]):
-    # Ties by total degree break in favor of the monomial with the
-    # *smaller* exponent on the last variable, then second-to-last, etc.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 _KEYS = {
     "lex": lambda exps: exps,
     "grlex": lambda exps: (sum(exps), exps),
-    "grevlex": _grevlex_key,
+    # ties by total degree break in favor of the monomial with the
+    # *smaller* exponent on the last variable, then second-to-last, etc.
+    "grevlex": lambda exps: (sum(exps), tuple(-e for e in reversed(exps))),
+}
+
+# each entry negates its _KEYS counterpart, component by component
+_DESC_KEYS = {
+    "lex": lambda exps: tuple(-e for e in exps),
+    "grlex": lambda exps: (-sum(exps), tuple(-e for e in exps)),
+    "grevlex": lambda exps: (-sum(exps), exps[::-1]),
 }
 
 
-def _block_key(elim: tuple[int, ...], inner_key):
+def _block_key(elim: tuple[int, ...], head_key, inner_key):
     # compare the eliminated variables first (grevlex among themselves),
     # then the rest by the inner order
     k = len(elim)
     if elim == tuple(range(k)):
-        return lambda exps: (_grevlex_key(exps[:k]), inner_key(exps[k:]))
+        return lambda exps: (head_key(exps[:k]), inner_key(exps[k:]))
     elim_set = frozenset(elim)
     return lambda exps: (
-        _grevlex_key(tuple(exps[i] for i in elim)),
+        head_key(tuple(exps[i] for i in elim)),
         inner_key(tuple(e for i, e in enumerate(exps) if i not in elim_set)))
 
 

@@ -210,3 +210,44 @@ def order_key(order, exps: tuple[int, ...]):
                  "grlex": lambda t: (sum(t), t),
                  "grevlex": _grevlex_key}[order.inner]
     return (_grevlex_key(head), inner_key(tail))
+
+
+# ---------------------------------------------------------------------------
+# multivariate division
+# ---------------------------------------------------------------------------
+
+def naive_divmod(f: Polynomial, divisors, order):
+    """Textbook division by an ordered divisor list: (quotients, remainder).
+
+    Each step searches every live term for the leading one, and divides
+    by the first divisor whose leading monomial divides it; zero divisors
+    are skipped and get zero quotients.
+    """
+    ring, fld = f.ring, f.ring.field
+    key = lambda e: order_key(order, e)  # noqa: E731
+    p = dict(f.terms)
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder: dict = {}
+    while p:
+        lt = max(p, key=key)
+        lc = p[lt]
+        for i, d in enumerate(divisors):
+            if d.is_zero():
+                continue
+            le = max(d.terms, key=key)
+            if monomial_divides(le, lt):
+                shift = tuple(b - a for a, b in zip(le, lt))
+                factor = fld.mul(lc, fld.inv(d.terms[le]))
+                quotients[i][shift] = factor
+                for e, c in d.terms.items():
+                    m = tuple(a + b for a, b in zip(e, shift))
+                    v = fld.sub(p.get(m, fld.zero()), fld.mul(factor, c))
+                    if v:
+                        p[m] = v
+                    else:
+                        p.pop(m, None)
+                break
+        else:
+            remainder[lt] = lc
+            del p[lt]
+    return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)

@@ -286,6 +286,32 @@ class TestVerify:
         # the default value stays accepted everywhere
         assert run("verify", *single, "--max-exp", "3") == run("verify", *single)
 
+    def test_exponents_rejected_where_unused(self, run, ideal_file):
+        # the fixture suites fix their exponents; multi reads --exponents
+        # and affine reads none, so -m/-n there would be silently ignored
+        unused = [("sp2", "--fixtures"), ("sp1", "--fixtures"),
+                  ("multi", "--fixtures", "--json"),
+                  ("multi", "-f", ideal_file, "--primes", "p,q",
+                   "--exponents", "2,1"),
+                  ("affine", "-f", ideal_file, "-i", "p", "-j", "q",
+                   "--poly", "x*z")]
+        for args in unused:
+            for flags in (("-m", "4"), ("-n", "1"), ("-m", "1", "-n", "1")):
+                code, out, err = run("verify", *args, *flags)
+                assert (code, out) == (2, "")
+                assert "-m and -n do not apply to" in err
+        code, out, err = run("verify", "multi", "--fixtures", "-m", "4", "-n", "3",
+                             "--json")
+        assert (code, out) == (2, "") and "do not apply to --fixtures" in err
+        assert "do not apply to affine mode" in run("verify", *unused[-1], "-n", "2")[2]
+
+    def test_single_case_exponents_default_to_one(self, run, ideal_file):
+        for mode, other in (("sp2", "q"), ("ci", "q"), ("regular", "conic")):
+            base = ("verify", mode, "-f", ideal_file, "-i", "p", "-j", other)
+            assert run(*base)[0] == 0
+            assert run(*base) == run(*base, "-m", "1") == run(*base, "-n", "1")
+            assert run(*base, "-m", "0")[0] == 2
+
     def test_affine_with_seed(self, run, ideal_file):
         code, out, _ = run("verify", "affine", "-f", ideal_file,
                            "-i", "p", "-j", "q", "--poly", "x*z",

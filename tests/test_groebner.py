@@ -1,7 +1,10 @@
 """Division, S-polynomials, Buchberger, and basis certificates."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from oracles import naive_divmod
 from vanish import groebner
 from vanish.errors import TermCapExceededError
 from vanish.fields import GF, QQ
@@ -13,9 +16,14 @@ from vanish.groebner import (
     normal_form,
     spoly,
 )
-from vanish.orders import GREVLEX, LEX
+from vanish.orders import GREVLEX, GRLEX, LEX, MonomialOrder, elimination_order
 from vanish.poly import PolyRing
 from vanish.theorems import verify_sp2
+
+R4 = {"QQ": PolyRing(QQ, ("w", "x", "y", "z")),
+      "GF": PolyRing(GF(32003), ("w", "x", "y", "z"))}
+DIVISION_ORDERS = [LEX, GREVLEX, GRLEX, elimination_order(1),
+                   MonomialOrder("block", elim=(1, 3))]
 
 
 def as_strs(polys):
@@ -64,6 +72,67 @@ class TestDivision:
         divisors = [x * y - z, z**2 - y]
         _, remainder = divmod_poly(f, divisors, GREVLEX)
         assert normal_form(f, divisors, GREVLEX) == remainder
+
+
+@st.composite
+def division_problems(draw):
+    """f and up to four divisors in four variables; divisors may be zero."""
+    ring = R4[draw(st.sampled_from(sorted(R4)))]
+    monomial = st.tuples(*[st.integers(0, 2)] * 4)
+
+    def poly(max_terms):
+        terms = draw(st.dictionaries(monomial, st.integers(-5, 5),
+                                     max_size=max_terms))
+        return ring.from_terms(terms)
+
+    return (poly(8), [poly(3) for _ in range(draw(st.integers(0, 4)))],
+            draw(st.sampled_from(DIVISION_ORDERS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_division_matches_naive_oracle(problem):
+    # the heap reducer must take exactly the textbook loop's steps:
+    # same quotients, same remainder, for divmod_poly and normal_form
+    f, divisors, order = problem
+    quotients, remainder = divmod_poly(f, divisors, order)
+    assert (quotients, remainder) == naive_divmod(f, divisors, order)
+    assert normal_form(f, divisors, order) == remainder
+
+
+class TestReductionWork:
+    def test_each_term_keyed_once(self, monkeypatch):
+        # One key per term of f, plus one per non-leading divisor term
+        # pushed by each quotient term.  A per-step search of the live
+        # terms for the leading one would key far more.
+        ring = R4["QQ"]
+        w, x, y, z = ring.gens()
+        quadrics = [w*x + 2*y*z - z**2, x**2 - 3*w*y + y*z, w**2 + x*z - 5*y**2]
+        basis = buchberger(ring, quadrics, GREVLEX)
+        cubic = (w + x + y + z) ** 3
+        f = (cubic * quadrics[0] + (cubic - 2*w**3) * quadrics[1]
+             + (cubic + x*y*z) * quadrics[2] + 7*w*x*y*z*z)
+        for g in basis:
+            g.leading_exps(GREVLEX)   # warm the cached leading monomials
+        calls = []
+
+        def counting(orig):
+            def wrapper(self, exps):
+                calls.append(exps)
+                return orig(self, exps)
+            return wrapper
+
+        for attr in ("key", "desc_key"):
+            monkeypatch.setattr(MonomialOrder, attr,
+                                counting(getattr(MonomialOrder, attr)))
+        quotients, remainder = divmod_poly(f, basis, GREVLEX)
+        bound = len(f.terms) + sum(len(q.terms) * (len(g.terms) - 1)
+                                   for q, g in zip(quotients, basis))
+        assert not remainder.is_zero()
+        assert len(f.terms) <= len(calls) <= bound
+        calls.clear()
+        assert normal_form(f, basis, GREVLEX) == remainder
+        assert len(f.terms) <= len(calls) <= bound
 
 
 class TestSPolynomial:
@@ -200,3 +269,6 @@ class TestResourceGuard:
         with pytest.raises(TermCapExceededError):
             # the divisor's tail forces repeated expansion past the cap
             normal_form(f, [x - y], GREVLEX)
+        # divmod_poly runs the same loop, so it trips with the same message
+        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
+            divmod_poly(f, [x - y], GREVLEX)

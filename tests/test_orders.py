@@ -99,6 +99,15 @@ def test_key_matches_reference(order, exps):
     assert order.key(exps) == order_key(order, exps)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_ORDERS),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4).map(tuple),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4).map(tuple))
+def test_desc_key_reverses_key(order, a, b):
+    assert (order.desc_key(a) < order.desc_key(b)) == (order.key(a) > order.key(b))
+    assert (order.desc_key(a) == order.desc_key(b)) == (a == b)
+
+
 class TestOrderIdentity:
     def test_singletons_compare(self):
         assert GREVLEX == GREVLEX
@@ -114,3 +123,4 @@ class TestOrderIdentity:
         copy = pickle.loads(pickle.dumps(order))
         assert copy == order
         assert copy.key((1, 2, 3, 4)) == order.key((1, 2, 3, 4))
+        assert copy.desc_key((1, 2, 3, 4)) == order.desc_key((1, 2, 3, 4))
