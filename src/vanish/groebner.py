@@ -9,7 +9,9 @@ monic elements, leading monomials forming an antichain under
 divisibility, no term of any element divisible by another element's
 leading monomial, sorted with the largest leading monomial first.  A
 reduced basis is unique for a given ideal and order, which is what makes
-ideal equality decidable by comparing bases.
+ideal equality decidable by comparing bases.  When every generator is a
+monomial that basis is the minimal generators, read off the exponent
+tuples with no S-polynomial formed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .orders import GREVLEX, MonomialOrder
 from .poly import (
     Polynomial,
     PolyRing,
+    minimal_exponents,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -137,6 +140,9 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     if any(g.is_constant() for g in G):
         return [ring.one()]
     lead = [g.leading_exps(order) for g in G]
+    if all(g.is_monomial() for g in G):
+        # a monomial ideal's reduced basis is its minimal generators
+        return _minimalize(G, lead, order)[::-1]
     key = order.key
     queue = []      # heap of (key(lcm), (i, j), lcm)
     pairs = set()   # the pending pairs, as the chain criterion reads them
@@ -172,19 +178,18 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
         lead.append(r.leading_exps(order))
         add_pairs(len(G) - 1)
 
-    G = _minimalize(G, order)
-    G = _interreduce(G, order)
+    G = _interreduce(_minimalize(G, lead, order), order)
     G.sort(key=lambda g: key(g.leading_exps(order)), reverse=True)
     return G
 
 
-def _minimalize(G, order):
-    keep: list[Polynomial] = []
-    for g in sorted(G, key=lambda g: order.key(g.leading_exps(order))):
-        le = g.leading_exps(order)
-        if not any(monomial_divides(k.leading_exps(order), le) for k in keep):
-            keep.append(g)
-    return keep
+def _minimalize(G, lead, order):
+    """The first element of G for each minimal leading monomial, smallest
+    first; ``lead[i]`` is the leading monomial of G[i]."""
+    first: dict = {}
+    for g, le in zip(G, lead):
+        first.setdefault(le, g)
+    return [first[e] for e in sorted(minimal_exponents(first), key=order.key)]
 
 
 def _interreduce(G, order):
@@ -201,15 +206,9 @@ def _interreduce(G, order):
 
 
 def leading_exponents(polys, order: MonomialOrder = GREVLEX) -> list[tuple[int, ...]]:
-    """Minimal generating exponents of the leading-term ideal."""
+    """Minimal generating exponents of the leading-term ideal, largest first."""
     exps = [g.leading_exps(order) for g in polys if not g.is_zero()]
-    minimal = [
-        e for e in exps
-        if not any(o != e and monomial_divides(o, e) for o in exps)
-    ]
-    # dedupe while keeping a canonical descending order
-    out = sorted(set(minimal), key=order.key, reverse=True)
-    return out
+    return sorted(minimal_exponents(exps), key=order.key, reverse=True)
 
 
 @dataclass(frozen=True)

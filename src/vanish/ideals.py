@@ -1,8 +1,10 @@
 """Ideals and the operations on them.
 
-Everything here reduces to Groebner bases.  Each :class:`Ideal` caches
-its reduced basis per monomial order, and equality compares the cached
-reduced grevlex bases, which are canonical.
+Each :class:`Ideal` caches its reduced basis per monomial order, and
+equality compares the cached reduced grevlex bases, which are canonical.
+Monomial ideals are handled in closed form on exponent tuples (lcms for an
+intersection, differences for a colon by a monomial, supports for radical
+membership); everything else reduces to Groebner bases.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, buchberger, divmod_poly, normal_form
 from .orders import GREVLEX, MonomialOrder
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, minimal_exponents, monomial_lcm
 
 
 def fresh_name(base: str, taken) -> str:
@@ -176,7 +178,7 @@ class Ideal:
     # -- intersection, colon, saturation ---------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J via a tag variable: eliminate t from t*I + (1-t)*J."""
+        """I cap J: pairwise lcms if monomial, else eliminate t from t*I + (1-t)*J."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, [])
@@ -184,6 +186,10 @@ class Ideal:
             return Ideal(self.ring, other.gens)
         if other.is_unit():
             return Ideal(self.ring, self.gens)
+        if self.is_monomial_ideal() and other.is_monomial_ideal():
+            return _monomial_ideal(self.ring, [
+                monomial_lcm(a, b) for a in self.monomial_exponents()
+                for b in other.monomial_exponents()])
         ring = self.ring
         tname = fresh_name("t", ring.variables)
         big = PolyRing(ring.field, (tname,) + ring.variables)
@@ -200,7 +206,7 @@ class Ideal:
         return Ideal(ring, kept)
 
     def colon(self, divisor) -> "Ideal":
-        """I : f for a polynomial, or I : J generator by generator."""
+        """I : f for a polynomial (closed form if monomial), or I : J per generator."""
         if isinstance(divisor, Ideal):
             self._check(divisor)
             if divisor.is_zero():
@@ -218,6 +224,11 @@ class Ideal:
             return Ideal(self.ring, self.gens)
         if self.is_zero():
             return Ideal(self.ring, [])
+        if f.is_monomial() and self.is_monomial_ideal():
+            a = next(iter(f.terms))
+            return _monomial_ideal(self.ring, [
+                tuple(max(x - y, 0) for x, y in zip(e, a))
+                for e in self.monomial_exponents()])
         inter = self.intersect(Ideal(self.ring, [f]))
         # every generator of I cap (f) is a multiple of f
         return Ideal(self.ring, [divide_exact(g, f) for g in inter.gens])
@@ -244,13 +255,17 @@ class Ideal:
     # -- radical membership, dimension, elimination ------------------------------
 
     def radical_contains(self, f: Polynomial) -> bool:
-        """f in sqrt(I), decided by adjoining w and testing 1 - w*f."""
+        """f in sqrt(I): by supports if monomial, else 1 - w*f tested with a new w."""
         if f.ring != self.ring:
             raise RingMismatchError(f"{f.ring} vs {self.ring}")
         if f.is_zero():
             return True
         if self.is_unit():
             return True
+        if f.is_monomial() and self.is_monomial_ideal():
+            a = next(iter(f.terms))
+            return any(all(y or not x for x, y in zip(e, a))
+                       for e in self.monomial_exponents())
         ring = self.ring
         wname = fresh_name("w", ring.variables)
         big = PolyRing(ring.field, (wname,) + ring.variables)
@@ -288,12 +303,7 @@ class Ideal:
         names = list(names)
         if not names:
             return Ideal(self.ring, self.gens)
-        idxs = []
-        for name in names:
-            if name not in self.ring.variables:
-                raise KeyError(f"no variable {name!r} in {self.ring}")
-            idxs.append(self.ring.variables.index(name))
-        idxs = tuple(sorted(set(idxs)))
+        idxs = tuple(sorted({self.ring.index(name) for name in names}))
         if len(idxs) == self.ring.nvars:
             raise ValueError("cannot eliminate every variable")
         order = MonomialOrder("block", elim=idxs)
@@ -314,6 +324,13 @@ class Ideal:
             if all(all(e[i] == 0 for i in idxs) for e in g.terms)
         ]
         return Ideal(sub, kept)
+
+
+def _monomial_ideal(ring: PolyRing, exps) -> Ideal:
+    """The ideal of the minimal monomials among ``exps``, listed as its
+    reduced grevlex basis."""
+    return Ideal(ring, [ring.monomial(e) for e in sorted(
+        minimal_exponents(exps), key=GREVLEX.key, reverse=True)])
 
 
 def _poly_sort_key(g: Polynomial):

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ideals import Ideal, coordinate_prime, maximum_independent_sets
 from .orders import GREVLEX
-from .poly import Polynomial, PolyRing, monomial_divides
+from .poly import Polynomial, PolyRing, minimal_exponents, monomial_divides
 from .reports import VerificationReport
 
 
@@ -69,15 +69,6 @@ def _upoly_shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (0,) * k + a
 
 
-def _minimal_antichain(exps) -> tuple[tuple[int, ...], ...]:
-    ordered = sorted(set(exps), key=lambda e: (sum(e), e))
-    keep: list[tuple[int, ...]] = []
-    for e in ordered:
-        if not any(monomial_divides(k, e) for k in keep):
-            keep.append(e)
-    return tuple(keep)
-
-
 @lru_cache(maxsize=None)
 def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of the Hilbert series of R/(monomials) over (1-t)^d.
@@ -105,8 +96,8 @@ def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     pivot = min(i for i, c in counts.items() if c == max(counts.values()))
     nvars = len(exps[0])
     unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = _minimal_antichain(exps + (unit,))
-    quot = _minimal_antichain(
+    plus = minimal_exponents(exps + (unit,))
+    quot = minimal_exponents(
         tuple(
             tuple(v - 1 if i == pivot and v else v for i, v in enumerate(e))
             for e in exps
@@ -142,11 +133,11 @@ def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
                 raise ValueError(f"{g} is not a monomial")
             exps.append(g.leading_exps(GREVLEX))
         else:
-            exps.append(tuple(int(v) for v in g))
+            exps.append(tuple(g))
     for e in exps:
-        if len(e) != ring.nvars:
-            raise ValueError(f"exponent tuple {e} does not fit {ring}")
-    antichain = _minimal_antichain(exps)
+        if len(e) != ring.nvars or any(not isinstance(v, int) or v < 0 for v in e):
+            raise ValueError(f"bad exponent tuple {e} for {ring}")
+    antichain = minimal_exponents(exps)
     numerator = _hilbert_numerator(antichain)
     if not any(numerator):
         return HilbertData((0,), -1, 0)
@@ -393,13 +384,13 @@ def local_length_at_monomial_prime(ideal: Ideal, prime_vars) -> int:
     names = list(prime_vars)
     if len(set(names)) != len(names):
         raise ValueError("repeated variable in the prime")
-    idxs = sorted(ring.variables.index(n) for n in names)
+    idxs = sorted(ring.index(n) for n in names)
     exps = ideal.monomial_exponents()
     if not idxs:
         if exps:
             raise ValueError("only the zero ideal localizes at the zero prime")
         return 1
-    restricted = _minimal_antichain(tuple(e[i] for i in idxs) for e in exps)
+    restricted = minimal_exponents(tuple(e[i] for i in idxs) for e in exps)
     if any(not any(e) for e in restricted):
         raise ValueError("the prime does not contain the ideal")
     bounds = []

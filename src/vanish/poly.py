@@ -56,13 +56,16 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def variable(self, name: str) -> "Polynomial":
+    def index(self, name: str) -> int:
+        """Position of the named variable; KeyError when there is none."""
         try:
-            i = self.variables.index(name)
+            return self.variables.index(name)
         except ValueError:
             raise KeyError(f"no variable {name!r} in {self}") from None
+
+    def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
-        exps[i] = 1
+        exps[self.index(name)] = 1
         return Polynomial(self, {tuple(exps): self.field.one()})
 
     def gens(self) -> tuple["Polynomial", ...]:
@@ -384,3 +387,12 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
+
+def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
+    """The divisibility-minimal tuples of ``exps``, once each, ordered by
+    (degree, exps): the minimal generators of the monomial ideal."""
+    keep: list[tuple[int, ...]] = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(monomial_divides(k, e) for k in keep):
+            keep.append(e)
+    return tuple(keep)

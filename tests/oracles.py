@@ -65,6 +65,54 @@ def membership_by_divisibility(exps: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
+# monomial ideals, decided monomial by monomial in a bounding box
+# ---------------------------------------------------------------------------
+
+def exponent_box(*exponent_lists) -> list[tuple[int, ...]]:
+    """Every exponent tuple dividing the lcm of all the given tuples.
+
+    Two monomial ideals whose minimal generators all lie in the box are
+    equal exactly when they contain the same monomials of the box.
+    """
+    exps = [e for lst in exponent_lists for e in lst]
+    top = [max(col) for col in zip(*exps)]
+    return list(itertools.product(*(range(t + 1) for t in top)))
+
+
+def monomial_members(gen_exps, box) -> set[tuple[int, ...]]:
+    """The monomials of the box lying in the ideal the generators span."""
+    return {m for m in box if membership_by_divisibility(m, gen_exps)}
+
+
+def intersection_members(a_exps, b_exps, box) -> set[tuple[int, ...]]:
+    """The monomials of the box lying in both ideals."""
+    return monomial_members(a_exps, box) & monomial_members(b_exps, box)
+
+
+def colon_members(gen_exps, shift, box) -> set[tuple[int, ...]]:
+    """The monomials m of the box with x^shift * m in the ideal."""
+    return {m for m in box if membership_by_divisibility(
+        tuple(x + y for x, y in zip(m, shift)), gen_exps)}
+
+
+def radical_membership(exps, gen_exps) -> bool:
+    """Whether some power of x^exps lies in the ideal.  A power above
+    every generator exponent decides it: past that, raising the power
+    changes no divisibility."""
+    top = max((max(g, default=0) for g in gen_exps), default=0)
+    return any(membership_by_divisibility(tuple(k * e for e in exps), gen_exps)
+               for k in range(1, top + 2))
+
+
+def minimal_members(members: set) -> set[tuple[int, ...]]:
+    """The members none of whose proper divisors is a member: each has
+    no member one step below it in any variable."""
+    def below(m):
+        return (m[:i] + (m[i] - 1,) + m[i + 1:] for i in range(len(m)) if m[i])
+    return {m for m in members if not any(d in members for d in below(m))}
+
+
+# ---------------------------------------------------------------------------
 # graded pieces of homogeneous ideals
 # ---------------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Division, S-polynomials, Buchberger, and basis certificates."""
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from oracles import naive_divmod
+from oracles import monomial_divides, monomials_of_degree, naive_divmod
 from vanish import groebner
 from vanish.errors import TermCapExceededError
 from vanish.fields import GF, QQ
@@ -16,6 +18,8 @@ from vanish.groebner import (
     normal_form,
     spoly,
 )
+from vanish.ideals import Ideal
+from vanish.local import associativity_check, symbolic_power
 from vanish.orders import GREVLEX, GRLEX, LEX, MonomialOrder, elimination_order
 from vanish.poly import PolyRing
 from vanish.theorems import verify_sp2
@@ -148,6 +152,19 @@ class TestSPolynomial:
         assert spoly(f, f, GREVLEX).is_zero()
 
 
+def count_spolys(monkeypatch) -> list:
+    """Wrap ``vanish.groebner.spoly``; the list returned grows by one for
+    each S-polynomial formed from then on."""
+    calls = []
+
+    def counting_spoly(*args):
+        calls.append(None)
+        return spoly(*args)
+
+    monkeypatch.setattr(groebner, "spoly", counting_spoly)
+    return calls
+
+
 class TestBuchberger:
     def test_monomial_curve_grevlex(self, r3):
         x, y, z = r3.gens()
@@ -200,20 +217,38 @@ class TestBuchberger:
 
     def test_curated_sp2_suite_pair_count(self, monkeypatch):
         # Which S-polynomials get formed depends on the order pairs leave
-        # the queue and on the chain criterion's view of pending pairs, so
-        # this machine-independent count pins both.
-        calls = []
-
-        def counting_spoly(*args):
-            calls.append(None)
-            return spoly(*args)
-
-        monkeypatch.setattr(groebner, "spoly", counting_spoly)
+        # the queue, on the chain criterion's view of pending pairs and on
+        # which ideals are monomial (those take the closed forms), so this
+        # machine-independent count pins all three.
+        calls = count_spolys(monkeypatch)
         for _, p, q in curated_sp2_pairs():
             for m in (1, 2):
                 for n in (1, 2):
                     verify_sp2(p, q, m, n)
-        assert len(calls) == 3068
+        assert len(calls) == 1261
+
+    def test_monomial_inputs_form_no_s_polynomials(self, monkeypatch):
+        # Monomial ideals take the closed forms (bases, intersections,
+        # colons, radical membership) and form no S-polynomial.  The primes
+        # are built first, since that runs Buchberger on the suite's curves.
+        primes = {id(w): w for _, p, q in curated_sp2_pairs() for w in (p, q)
+                  if w.is_coordinate_subspace}
+        assert len(primes) == 17
+        calls = count_spolys(monkeypatch)
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        monos = monomials_of_degree(3, 1) + monomials_of_degree(3, 2)
+        chains = [c for k in range(len(monos) + 1)
+                  for c in itertools.combinations(monos, k)
+                  if not any(monomial_divides(a, b) or monomial_divides(b, a)
+                             for a, b in itertools.combinations(c, 2))]
+        for chain in chains:
+            assert associativity_check(
+                Ideal(ring, [ring.monomial(e) for e in chain])).holds
+        for p in primes.values():
+            for m in (1, 2, 3):
+                symbolic_power(p, m)
+        assert len(chains) == 95
+        assert calls == []
 
     def test_prime_field_basis(self):
         ring = PolyRing(GF(7), ("x", "y"))

@@ -30,6 +30,16 @@ def systems(draw):
     return nvars, draw(st.lists(generator, min_size=1, max_size=3))
 
 
+@st.composite
+def monomial_systems(draw):
+    """1-4 variables, up to 5 single-term generators with any coefficient;
+    these take the closed-form route."""
+    nvars = draw(st.integers(1, 4))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                     st.integers(-4, 4).filter(bool))
+    return nvars, [dict([t]) for t in draw(st.lists(term, min_size=1, max_size=5))]
+
+
 def sympy_basis(gens, nvars, order, modulus):
     xs = sympy.symbols(f"x0:{nvars}")
     exprs = [sum(c * sympy.Mul(*(x**k for x, k in zip(xs, e)))
@@ -49,6 +59,17 @@ def sympy_basis(gens, nvars, order, modulus):
 @settings(max_examples=25, deadline=None)
 @given(systems(), st.sampled_from(sorted(ORDERS)), st.sampled_from([None, 7, 32003]))
 def test_buchberger_matches_sympy(system, order, modulus):
+    assert_matches_sympy(system, order, modulus)
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_systems(), st.sampled_from(sorted(ORDERS)),
+       st.sampled_from([None, 7, 32003]))
+def test_monomial_bases_match_sympy(system, order, modulus):
+    assert_matches_sympy(system, order, modulus)
+
+
+def assert_matches_sympy(system, order, modulus):
     nvars, gens = system
     ring = PolyRing(QQ if modulus is None else GF(modulus),
                     tuple(f"x{i}" for i in range(nvars)))

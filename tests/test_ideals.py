@@ -2,16 +2,32 @@
 saturation, radical membership, dimension, elimination."""
 
 import itertools
+from fractions import Fraction
+from functools import reduce
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from oracles import graded_pieces_agree, monomial_dimension
+from oracles import (
+    colon_members,
+    exponent_box,
+    graded_pieces_agree,
+    intersection_members,
+    minimal_members,
+    monomial_dimension,
+    monomial_members,
+    order_key,
+    radical_membership,
+)
+from test_orders import ALL_ORDERS
+from vanish import ideals
 from vanish.errors import (
     RingMismatchError,
     UnitIdealError,
     ZeroDivisorRequestError,
 )
-from vanish.fields import QQ
+from vanish.fields import GF, QQ
 from vanish.ideals import Ideal, coordinate_prime, maximum_independent_sets
 from vanish.orders import GREVLEX, LEX
 from vanish.poly import PolyRing
@@ -365,3 +381,111 @@ class TestBasisCache:
         b = curve.groebner_basis(LEX)
         assert a is not b
         assert a.order != b.order
+
+
+class TestMixedInputsTakeTheGeneralRoute:
+    """A non-monomial ideal or polynomial still goes through a Groebner
+    basis over a ring with a tag variable."""
+
+    @pytest.fixture
+    def basis_rings(self, monkeypatch):
+        seen = []
+        orig = ideals.buchberger
+
+        def recording(ring, gens, order=GREVLEX):
+            seen.append(ring.variables)
+            return orig(ring, gens, order)
+
+        monkeypatch.setattr(ideals, "buchberger", recording)
+        return seen
+
+    def test_intersection(self, r2, basis_rings):
+        x, y = r2.gens()
+        meet = Ideal(r2, [x]).intersect(Ideal(r2, [x + y]))
+        assert meet == Ideal(r2, [x**2 + x * y])
+        assert ("t", "x", "y") in basis_rings
+
+    def test_colon(self, r2, basis_rings):
+        x, y = r2.gens()
+        assert Ideal(r2, [x**2, y]).colon(x + y) == Ideal(r2, [x, y])
+        assert ("t", "x", "y") in basis_rings
+
+    def test_radical_membership(self, r2, basis_rings):
+        x, y = r2.gens()
+        assert Ideal(r2, [x**2, y**2]).radical_contains(x + y)
+        assert ("w", "x", "y") in basis_rings
+
+
+# -- monomial ideals: the closed forms against box enumeration ---------------
+
+COEFFS = st.sampled_from([1, 1, 2, -3, Fraction(5, 7)])
+
+
+@st.composite
+def monomial_cases(draw):
+    """Two monomial ideals and a monomial in 1-4 variables over QQ or
+    GF(32003).  Generators carry coefficients other than 1 and may repeat,
+    divide one another or be constant; either ideal may be zero."""
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(draw(st.sampled_from([QQ, GF(32003)])),
+                    ("x", "y", "z", "w")[:nvars])
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+
+    def gens(max_size):
+        out = [ring.monomial(e, c) for e, c in
+               draw(st.lists(st.tuples(exps, COEFFS), max_size=max_size))]
+        if out and draw(st.booleans()):
+            # a repeated exponent tuple and a multiple of a generator
+            shift = draw(st.tuples(*[st.integers(0, 1)] * nvars))
+            out += [ring.monomial(out[0].leading_exps(), 4),
+                    out[-1] * ring.monomial(shift)]
+        return out
+
+    return ring, gens(4), gens(3), ring.monomial(draw(exps), draw(COEFFS))
+
+
+def assert_monomial_ideal(result, members, gens_reduced):
+    """``result`` is the monomial ideal with these monomials in the box;
+    with ``gens_reduced`` its generators are its reduced basis."""
+    basis = result.groebner_basis().polys
+    assert all(g.is_monomial() and g.leading_coefficient() == 1 for g in basis)
+    assert {g.leading_exps() for g in basis} == minimal_members(members)
+    if gens_reduced:
+        assert result.gens == basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_cases())
+def test_monomial_closed_forms_match_enumeration(case):
+    ring, a_gens, b_gens, f = case
+    I, J = Ideal(ring, a_gens), Ideal(ring, b_gens)
+    ie = [g.leading_exps() for g in a_gens]
+    je = [g.leading_exps() for g in b_gens]
+    a = f.leading_exps()
+    box = exponent_box(ie, je, [a])
+    members = monomial_members(ie, box)
+    for order in ALL_ORDERS:
+        if any(i >= ring.nvars for i in order.elim):
+            continue
+        expected = sorted(minimal_members(members), reverse=True,
+                          key=lambda e: order_key(order, e))
+        assert [g.terms for g in I.groebner_basis(order)] == \
+            [{e: 1} for e in expected]
+    # a unit ideal, a constant divisor or an already saturated ideal comes
+    # back with an input's generators as they are
+    assert_monomial_ideal(I.intersect(J), intersection_members(ie, je, box),
+                          gens_reduced=not (I.is_unit() or J.is_unit()))
+    assert_monomial_ideal(I.colon(f), colon_members(ie, a, box),
+                          gens_reduced=not f.is_constant())
+    assert_monomial_ideal(
+        I.colon(J),
+        reduce(set.__and__, (colon_members(ie, b, box) for b in je), set(box)),
+        gens_reduced=False)
+    # I : f^s grows with s and is saturated once s passes every exponent
+    top = max((max(e) for e in ie), default=0)
+    powers = [colon_members(ie, tuple(s * v for v in a), box)
+              for s in range(top + 2)]
+    sat, index = I.saturate(f)
+    assert index == powers.index(powers[-1])
+    assert_monomial_ideal(sat, powers[-1], gens_reduced=index > 0)
+    assert I.radical_contains(f) == radical_membership(a, ie)

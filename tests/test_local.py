@@ -82,6 +82,17 @@ class TestHilbertSeries:
         via_exps = hilbert_series([(2, 0), (1, 1)], r2)
         assert via_polys == via_exps
 
+    @pytest.mark.parametrize("exps", [
+        [(1, -2), (0, 1)],    # used to recurse without end
+        [(-1, 0)],            # used to read as the unit ideal
+        [(0.5, 1)],           # used to truncate to (0, 1)
+        [(2, 0), ("1", 1)],
+        [(1, 0, 0)],
+    ])
+    def test_bad_exponent_tuples_rejected(self, r2, exps):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            hilbert_series(exps, r2)
+
 
 def all_monomials_up_to(nvars, maxdeg):
     out = []
@@ -148,6 +159,11 @@ class TestLocalLength:
         x, y, z = r3.gens()
         with pytest.raises(ValueError):
             local_length_at_monomial_prime(Ideal(r3, [y]), ("x",))
+
+    def test_unknown_variable(self, r3):
+        x, _, _ = r3.gens()
+        with pytest.raises(KeyError, match="no variable 'q' in"):
+            local_length_at_monomial_prime(Ideal(r3, [x]), ["q"])
 
     def test_infinite_length_rejected(self, r3):
         # (x*y) localized at (x,y) is not artinian
