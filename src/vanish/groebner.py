@@ -1,8 +1,11 @@
 """Multivariate division and Buchberger's algorithm.
 
 Division has one loop, ``_reduce``, behind both :func:`divmod_poly` and
-:func:`normal_form`.  It keeps the pending terms in a dict beside a heap
-keyed by ``order.desc_key``, so each term is keyed once, when it enters.
+:func:`normal_form`.  It works on the packed monomials of
+:mod:`vanish.orders`: a heap of -K ints orders the pending terms, the
+guard bits of an E difference test divisibility, and a multiple of a
+divisor term costs two integer additions.  Divisors cache their packed
+terms.  An overflow starts the division over at twice the field width.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .config import term_cap
 from .errors import TermCapExceededError
-from .orders import GREVLEX, MonomialOrder
+from .orders import GREVLEX, MonomialOrder, Packing
 from .poly import (
     Polynomial,
     PolyRing,
@@ -33,70 +36,88 @@ from .poly import (
 )
 
 
-def _sub_scaled(p: dict, g: dict, coeff, shift, fld):
-    """p -= coeff * x^shift * g, mutating p."""
-    for e, c in g.items():
-        key = monomial_mul(e, shift)
-        v = fld.sub(p.get(key, fld.zero()), fld.mul(coeff, c))
-        if v:
-            p[key] = v
-        else:
-            p.pop(key, None)
+def _packed_divisor(d: Polynomial, order: MonomialOrder, packing: Packing):
+    """(K, E, 1/lc or None when lc is 1, [(K, E, coeff) of the tail]) of a
+    nonzero divisor, cached on it per packing."""
+    if d._packed is not None and d._packed[0] is packing:
+        return d._packed[1]
+    le = d.leading_exps(order)
+    lc = d.terms[le]
+    fld = d.ring.field
+    data = (*packing.pack(le), None if lc == fld.one() else fld.inv(lc),
+            [(*packing.pack(m), c) for m, c in d.terms.items() if m != le])
+    d._packed = (packing, data)
+    return data
 
 
-def _reduce(f: Polynomial, divisors, order: MonomialOrder, quotients=None) -> dict:
-    """Remainder terms of f on division by the divisors, each step using
-    the first that divides; quotient terms go to ``quotients[i]`` if given."""
+def _reduce(f: Polynomial, divisors, order: MonomialOrder, with_quotients=False, bound=0):
+    """(remainder, quotients) of f on division by the divisors, each step
+    using the first that divides; quotients is None unless asked for.
+
+    The packing is the narrowest that holds ``bound`` and every exponent
+    of the inputs; a product past its limit starts the call over at twice
+    the width."""
+    packing = order.packing(
+        f.ring.nvars, max(bound, *(h.max_exponent() for h in (f, *divisors))))
     fld = f.ring.field
+    mul, add, neg = fld.mul, fld.add, fld.neg
+    heappush, heappop = heapq.heappush, heapq.heappop
     cap = term_cap()
-    dkey = order.desc_key
-    div_data = []
-    for d in divisors:
-        if d.is_zero():
-            div_data.append(None)   # keep indices aligned with the input
-        else:
-            le = d.leading_exps(order)
-            div_data.append((le, fld.inv(d.terms[le]), d.terms))
-    p = dict(f.terms)
-    heap = [(dkey(m), m) for m in p]
+    guard = packing.guard
+    packed = [(*packing.pack(m), c) for m, c in f.terms.items()]
+    p = {k: c for k, _, c in packed}        # K -> coefficient of the pending terms
+    exps = {k: e for k, e, _ in packed}     # K -> E
+    div_data = [(i, _packed_divisor(d, order, packing))
+                for i, d in enumerate(divisors) if not d.is_zero()]
+    quotients = [{} for _ in divisors]
+    heap = [-k for k in p]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
-        lt = heapq.heappop(heap)[1]
-        lc = p.pop(lt, None)
+        k = -heappop(heap)
+        lc = p.pop(k, None)
         if lc is None:
             continue        # stale: the term cancelled after it was pushed
-        for i, data in enumerate(div_data):
-            if data is None or not monomial_divides(data[0], lt):
+        e = exps[k]
+        for i, (dk, de, inv, tail) in div_data:
+            if (e - de) & guard:
                 continue
-            le, lc_inv, dterms = data
-            shift = monomial_div(lt, le)
-            factor = fld.mul(lc, lc_inv)
-            if quotients is not None:
-                quotients[i][shift] = factor
-            # p -= factor * x^shift * d; the leading term cancels lt
-            for e, c in dterms.items():
-                if e == le:
-                    continue
-                m = monomial_mul(e, shift)
-                v = fld.mul(factor, c)
-                if m in p:
-                    v = fld.sub(p[m], v)
-                else:
-                    v = fld.neg(v)
-                    heapq.heappush(heap, (dkey(m), m))
-                if v:
+            shift_k, shift_e = k - dk, e - de
+            factor = lc if inv is None else mul(lc, inv)
+            if with_quotients:
+                quotients[i][shift_e] = factor
+            # p -= factor * x^shift * d; the leading term cancels lt.  K
+            # is one-to-one only below the limit, so every product is
+            # checked before its K is looked up
+            factor = neg(factor)
+            for tk, te, c in tail:
+                me = te + shift_e
+                if me & guard:
+                    return _reduce(f, divisors, order, with_quotients, packing.limit)
+                m = tk + shift_k
+                v = mul(factor, c)
+                old = p.get(m)
+                if old is None:
                     p[m] = v
+                    exps[m] = me
+                    heappush(heap, -m)
                 else:
-                    del p[m]
+                    v = add(old, v)
+                    if v:
+                        p[m] = v
+                    else:
+                        del p[m]
             break
         else:
-            remainder[lt] = lc
+            remainder[e] = lc
         if len(p) > cap:
             raise TermCapExceededError(
                 f"reduction intermediate exceeds the term cap ({cap}); "
                 "set VANISH_TERM_CAP to raise it")
-    return remainder
+    unpack = packing.unpack
+    return ({unpack(e): c for e, c in remainder.items()},
+            [{unpack(e): c for e, c in q.items()} for q in quotients]
+            if with_quotients else None)
 
 
 def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
@@ -105,14 +126,13 @@ def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
     No term of the remainder is divisible by any divisor's leading
     monomial; zero divisors get zero quotients.
     """
-    quotients: list[dict] = [{} for _ in divisors]
-    remainder = _reduce(f, divisors, order, quotients)
+    remainder, quotients = _reduce(f, divisors, order, with_quotients=True)
     return [Polynomial(f.ring, q) for q in quotients], Polynomial(f.ring, remainder)
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f on division by the basis (quotients not tracked)."""
-    return Polynomial(f.ring, _reduce(f, basis, order))
+    return Polynomial(f.ring, _reduce(f, basis, order)[0])
 
 
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -122,8 +142,18 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
     eg = g.leading_exps(order)
     l = monomial_lcm(ef, eg)
     p: dict = {}
-    _sub_scaled(p, f.terms, fld.neg(fld.inv(f.terms[ef])), monomial_div(l, ef), fld)
-    _sub_scaled(p, g.terms, fld.inv(g.terms[eg]), monomial_div(l, eg), fld)
+    # p = x^(l-ef) f / lc(f) - x^(l-eg) g / lc(g); the leading terms cancel
+    for h, e, c in ((f, ef, fld.inv(f.terms[ef])), (g, eg, fld.neg(fld.inv(g.terms[eg])))):
+        shift = monomial_div(l, e)
+        for m, hc in h.terms.items():
+            m = monomial_mul(m, shift)
+            v = fld.mul(c, hc)
+            if m in p:
+                v = fld.add(p[m], v)
+            if v:
+                p[m] = v
+            else:
+                del p[m]
     return Polynomial(f.ring, p)
 
 
@@ -131,7 +161,7 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pair selection follows the normal strategy (smallest lcm first): the
-    pair queue is a heap keyed once per pair by the order key of its lcm,
+    pair queue is a heap keyed once per pair by the packed K of its lcm,
     ties broken by ``(i, j)``.  Pairs with coprime leading monomials are
     discarded outright, and the chain criterion drops a pair when a third
     basis element divides its lcm and both side pairs are already handled.
@@ -143,29 +173,32 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     if all(g.is_monomial() for g in G):
         # a monomial ideal's reduced basis is its minimal generators
         return _minimalize(G, lead, order)[::-1]
-    key = order.key
-    queue = []      # heap of (key(lcm), (i, j), lcm)
+    packing = order.packing(ring.nvars, max(map(max, lead)))
+    queue = []      # heap of (K(lcm), (i, j), E(lcm))
     pairs = set()   # the pending pairs, as the chain criterion reads them
+
+    def pair(k, t):
+        kl, el = packing.pack(monomial_lcm(lead[k], lead[t]))
+        return kl, (k, t), el
 
     def add_pairs(t):
         for k in range(t):
-            l = monomial_lcm(lead[k], lead[t])
-            heapq.heappush(queue, (key(l), (k, t), l))
+            heapq.heappush(queue, pair(k, t))
             pairs.add((k, t))
 
+    lead_e = [packing.pack(le)[1] for le in lead]
     for t in range(len(G)):
         add_pairs(t)
     while queue:
         _, (i, j), l = heapq.heappop(queue)
         pairs.discard((i, j))
-        if l == monomial_mul(lead[i], lead[j]):
-            continue
+        if l == lead_e[i] + lead_e[j]:
+            continue        # coprime leading monomials
         if any(
-            k != i and k != j
-            and monomial_divides(lead[k], l)
+            not (l - e) & packing.guard and k != i and k != j
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(G))
+            for k, e in enumerate(lead_e)
         ):
             continue
         r = normal_form(spoly(G[i], G[j], order), G, order)
@@ -174,12 +207,20 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
         if r.is_constant():
             return [ring.one()]
         r = r.monic(order)
+        le = r.leading_exps(order)
         G.append(r)
-        lead.append(r.leading_exps(order))
+        lead.append(le)
+        if max(le) >= packing.limit:
+            # repack at a wider field; the pairs keep their order
+            packing = order.packing(ring.nvars, max(le))
+            lead_e = [packing.pack(e)[1] for e in lead[:-1]]
+            queue = [pair(k, t) for _, (k, t), _ in queue]
+            heapq.heapify(queue)
+        lead_e.append(packing.pack(le)[1])
         add_pairs(len(G) - 1)
 
     G = _interreduce(_minimalize(G, lead, order), order)
-    G.sort(key=lambda g: key(g.leading_exps(order)), reverse=True)
+    G.sort(key=lambda g: order.key(g.leading_exps(order)), reverse=True)
     return G
 
 
@@ -193,15 +234,13 @@ def _minimalize(G, lead, order):
 
 
 def _interreduce(G, order):
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            others = G[:i] + G[i + 1:]
-            r = normal_form(G[i], others, order).monic(order)
-            if r != G[i]:
-                G[i] = r
-                changed = True
+    """Reduce each element of a minimal basis by the others, in one pass.
+
+    A minimal basis's leading monomials never move, so a tail reduced
+    once cannot become reducible when a later element changes.
+    """
+    for i in range(len(G)):
+        G[i] = normal_form(G[i], G[:i] + G[i + 1:], order).monic(order)
     return G
 
 

@@ -231,7 +231,7 @@ class Ideal:
                 for e in self.monomial_exponents()])
         inter = self.intersect(Ideal(self.ring, [f]))
         # every generator of I cap (f) is a multiple of f
-        return Ideal(self.ring, [divide_exact(g, f) for g in inter.gens])
+        return Ideal(self.ring, [divide_exact(g, f).monic() for g in inter.gens])
 
     def saturate(self, f: Polynomial) -> tuple["Ideal", int]:
         """(I : f^infinity, saturation index).
@@ -287,11 +287,8 @@ class Ideal:
         n = self.ring.nvars
         if not self.gens:
             return n
-        supports = [
-            frozenset(i for i, e in enumerate(exps) if e)
-            for exps in self.groebner_basis().leading_term_exponents()
-        ]
-        dim, _ = _best_independent_sets(supports, n, all_sets=False)
+        dim, _ = independent_sets(
+            self.groebner_basis().leading_term_exponents(), n, all_sets=False)
         return dim
 
     def height(self) -> int:
@@ -337,12 +334,14 @@ def _poly_sort_key(g: Polynomial):
     return sorted(g.terms.items(), reverse=True)
 
 
-def _best_independent_sets(supports, nvars: int, all_sets: bool):
-    """Largest variable subsets whose span avoids every support.
+def independent_sets(exps, nvars: int, all_sets: bool = True):
+    """Largest variable subsets meeting the support of no exponent tuple.
 
     Returns (size, sets); with all_sets False only the first witness of
-    the maximal size is kept.
+    the maximal size is kept.  For the minimal generators of a leading-term
+    ideal the size is the dimension of the quotient.
     """
+    supports = [frozenset(i for i, e in enumerate(x) if e) for x in exps]
     for size in range(nvars, -1, -1):
         found = []
         for combo in itertools.combinations(range(nvars), size):
@@ -363,11 +362,7 @@ def maximum_independent_sets(ideal: Ideal) -> tuple[int, list[frozenset]]:
     n = ideal.ring.nvars
     if not ideal.gens:
         return n, [frozenset(range(n))]
-    supports = [
-        frozenset(i for i, e in enumerate(exps) if e)
-        for exps in ideal.groebner_basis().leading_term_exponents()
-    ]
-    return _best_independent_sets(supports, n, all_sets=True)
+    return independent_sets(ideal.groebner_basis().leading_term_exponents(), n)
 
 
 def coordinate_prime(ring: PolyRing, names) -> Ideal:

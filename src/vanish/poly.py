@@ -8,6 +8,7 @@ terms dicts are never mutated after construction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,13 +102,15 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_packed", "_top")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
         self._lead = None   # (order, exps) of the last leading_exps lookup
+        self._packed = None  # (packing, data) of the last use as a divisor
+        self._top = None     # max_exponent, once asked for
 
     # -- predicates ----------------------------------------------------
 
@@ -144,6 +147,12 @@ class Polynomial:
         if not self.terms:
             return math.inf
         return min(sum(e) for e in self.terms)
+
+    def max_exponent(self) -> int:
+        """Largest exponent of any variable in any term; 0 for zero."""
+        if self._top is None:
+            self._top = max(map(max, self.terms), default=0)
+        return self._top
 
     def degree_in(self, var_index: int) -> int:
         if not self.terms:
@@ -295,7 +304,9 @@ class Polynomial:
         return result
 
     def differentiate(self, var: str | int) -> "Polynomial":
-        i = var if isinstance(var, int) else self.ring.variables.index(var)
+        i = var if isinstance(var, int) else self.ring.index(var)
+        if not 0 <= i < self.ring.nvars:
+            raise IndexError(f"variable index {i} out of range for {self.ring}")
         fld = self.ring.field
         out = {}
         for exps, coeff in self.terms.items():
@@ -386,7 +397,7 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal tuples of ``exps``, once each, ordered by

@@ -20,7 +20,14 @@ from vanish.groebner import (
 )
 from vanish.ideals import Ideal
 from vanish.local import associativity_check, symbolic_power
-from vanish.orders import GREVLEX, GRLEX, LEX, MonomialOrder, elimination_order
+from vanish.orders import (
+    GREVLEX,
+    GRLEX,
+    LEX,
+    MonomialOrder,
+    Packing,
+    elimination_order,
+)
 from vanish.poly import PolyRing
 from vanish.theorems import verify_sp2
 
@@ -106,9 +113,10 @@ def test_division_matches_naive_oracle(problem):
 
 class TestReductionWork:
     def test_each_term_keyed_once(self, monkeypatch):
-        # One key per term of f, plus one per non-leading divisor term
-        # pushed by each quotient term.  A per-step search of the live
-        # terms for the leading one would key far more.
+        # One packing per term of f: the terms a reduction step creates are
+        # packed by integer addition, and each divisor's packed terms are
+        # cached on it.  A per-step search of the live terms for the
+        # leading one would key far more.
         ring = R4["QQ"]
         w, x, y, z = ring.gens()
         quadrics = [w*x + 2*y*z - z**2, x**2 - 3*w*y + y*z, w**2 + x*z - 5*y**2]
@@ -116,8 +124,7 @@ class TestReductionWork:
         cubic = (w + x + y + z) ** 3
         f = (cubic * quadrics[0] + (cubic - 2*w**3) * quadrics[1]
              + (cubic + x*y*z) * quadrics[2] + 7*w*x*y*z*z)
-        for g in basis:
-            g.leading_exps(GREVLEX)   # warm the cached leading monomials
+        normal_form(f, basis, GREVLEX)   # warm the divisors' cached data
         calls = []
 
         def counting(orig):
@@ -126,9 +133,8 @@ class TestReductionWork:
                 return orig(self, exps)
             return wrapper
 
-        for attr in ("key", "desc_key"):
-            monkeypatch.setattr(MonomialOrder, attr,
-                                counting(getattr(MonomialOrder, attr)))
+        monkeypatch.setattr(MonomialOrder, "key", counting(MonomialOrder.key))
+        monkeypatch.setattr(Packing, "pack", counting(Packing.pack))
         quotients, remainder = divmod_poly(f, basis, GREVLEX)
         bound = len(f.terms) + sum(len(q.terms) * (len(g.terms) - 1)
                                    for q, g in zip(quotients, basis))
@@ -137,6 +143,79 @@ class TestReductionWork:
         calls.clear()
         assert normal_form(f, basis, GREVLEX) == remainder
         assert len(f.terms) <= len(calls) <= bound
+
+    def test_interreduction_is_one_pass(self, monkeypatch):
+        # Each element of a minimal basis is reduced once: the leading
+        # monomials never move, so one pass already gives the reduced basis.
+        ring = R4["QQ"]
+        w, x, y, z = ring.gens()
+        gens = [w*x + 2*y*z - z**2, x**2 - 3*w*y + y*z, w**2 + x*z - 5*y**2]
+        reduced = buchberger(ring, gens, GREVLEX)[::-1]    # smallest first
+        assert len(reduced) > 2
+        # adding the next smaller element keeps each leading monomial
+        minimal = [reduced[0]] + [g + 2 * h for g, h in zip(reduced[1:], reduced)]
+        calls = count_normal_forms(monkeypatch)
+        assert groebner._interreduce(minimal, GREVLEX) == reduced
+        assert len(calls) == len(reduced)
+
+
+class TestPackedWidths:
+    # Packed exponents below the field limit take the narrowest packing;
+    # an input exponent at the limit, or a term the division creates past
+    # it, restarts the call at twice the width with the same answer.
+    @pytest.mark.parametrize("order", DIVISION_ORDERS)
+    def test_exponents_at_the_field_limit(self, order):
+        ring = R4["GF"]
+        w, x, y, z = ring.gens()
+        limit = order.packing(ring.nvars).limit
+        for top in (limit - 1, limit):
+            f = w**top * x + 3 * x**top * y - y * z**top + w * z + 1
+            divisors = [w**top - x * y, x**2 - z**top + y, y * z - w]
+            assert divmod_poly(f, divisors, order) == naive_divmod(f, divisors, order)
+
+    def test_lex_division_grows_past_the_limit(self, r2):
+        # x^3 by x - y^k leaves y^(3k): past the limit once 3k >= 256
+        x, y = r2.gens()
+        for k in (85, 86, 128, 300):
+            f, divisors = x**3 + x * y, [x - y**k]
+            assert divmod_poly(f, divisors, LEX) == naive_divmod(f, divisors, LEX)
+            assert normal_form(f, divisors, LEX) == y**(3 * k) + y**(k + 1)
+
+    @pytest.mark.parametrize("order", [LEX, elimination_order(1, "lex"), GREVLEX])
+    def test_overflowing_product_meets_a_pending_term(self, order):
+        # w*z^56 by w - z^200 forms z^256: past the 8-bit fields its K
+        # would carry into the K of the pending y, merging the two terms
+        ring = R4["QQ"]
+        w, x, y, z = ring.gens()
+        divisors = [w - z**200]
+        for f in (w * z**56 + y, w * z**56 + w * y, w * x * z**56 + x + w):
+            assert divmod_poly(f, divisors, order) == naive_divmod(f, divisors, order)
+        if order != GREVLEX:
+            assert normal_form(w * z**56 + y, divisors, order) == z**256 + y
+
+    def test_lex_overflow_meets_a_pending_term(self, r2):
+        x, y = r2.gens()
+        f, divisors = x * y**56 + x, [x - y**200]
+        assert divmod_poly(f, divisors, LEX) == naive_divmod(f, divisors, LEX)
+        assert normal_form(f, divisors, LEX) == y**256 + y**200
+
+    def test_wide_inputs_keep_their_cached_packing(self, r2, monkeypatch):
+        # the packing starts wide enough for every input exponent, so a
+        # second call packs only the terms of f
+        x, y = r2.gens()
+        f, divisors = x**2 * y + x * y**3, [x - y**300, y**400 - x * y]
+        remainder = normal_form(f, divisors, LEX)
+        calls = []
+        pack = Packing.pack
+        monkeypatch.setattr(Packing, "pack", lambda self, exps: calls.append(exps) or pack(self, exps))
+        assert normal_form(f, divisors, LEX) == remainder
+        assert len(calls) == len(f.terms)
+
+    def test_buchberger_widens_for_a_new_leading_monomial(self, r2):
+        x, y = r2.gens()
+        gb = buchberger(r2, [x - y**150, x**2], LEX)
+        assert gb == [x - y**150, y**300]
+        assert GroebnerBasis(r2, LEX, tuple(gb)).check_certificate()
 
 
 class TestSPolynomial:
@@ -162,6 +241,18 @@ def count_spolys(monkeypatch) -> list:
         return spoly(*args)
 
     monkeypatch.setattr(groebner, "spoly", counting_spoly)
+    return calls
+
+
+def count_normal_forms(monkeypatch) -> list:
+    """Wrap ``vanish.groebner.normal_form`` like ``count_spolys``."""
+    calls = []
+
+    def counting_normal_form(*args):
+        calls.append(None)
+        return normal_form(*args)
+
+    monkeypatch.setattr(groebner, "normal_form", counting_normal_form)
     return calls
 
 

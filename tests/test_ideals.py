@@ -410,6 +410,17 @@ class TestMixedInputsTakeTheGeneralRoute:
         assert Ideal(r2, [x**2, y]).colon(x + y) == Ideal(r2, [x, y])
         assert ("t", "x", "y") in basis_rings
 
+    def test_colon_generators_monic(self, r2):
+        # a divisor whose leading coefficient is not 1 leaves no 1/lc(f)
+        # scaling on the generators, nor 1/lc(f)^s through saturate
+        x, y = r2.gens()
+        quotient = Ideal(r2, [x**2, y]).colon(3 * x + 3 * y)
+        assert quotient == Ideal(r2, [x, y])
+        assert [str(g) for g in quotient.gens] == ["x - y", "y"]
+        saturated, index = Ideal(r2, [x**3, x * y * (x + y)]).saturate(2 * x - 2 * y)
+        assert [str(g) for g in saturated.gens] == ["x"]
+        assert (saturated, index) == (Ideal(r2, [x]), 3)
+
     def test_radical_membership(self, r2, basis_rings):
         x, y = r2.gens()
         assert Ideal(r2, [x**2, y**2]).radical_contains(x + y)

@@ -202,6 +202,16 @@ class TestAssociativity:
         assert rep.data["multiplicity"] == 1
         assert rep.data["terms"][0]["prime"] == []
 
+    def test_quotient_multiplicity_matches_graded(self, r3):
+        # R/p is a polynomial ring, so each top prime's quotient has
+        # multiplicity 1; the graded multiplicity of R/p agrees
+        x, y, z = r3.gens()
+        for gens in ([], [x * y * z], [x**2, x * y], [x * y, y * z**2],
+                     [x**3, y**2, x * z]):
+            for term in associativity_check(Ideal(r3, gens)).data["terms"]:
+                prime = coordinate_prime(r3, term["prime"])
+                assert term["quotient_multiplicity"] == multiplicity_graded(prime)
+
     def test_claim_label(self, r3):
         x, _, _ = r3.gens()
         rep = associativity_check(Ideal(r3, [x]))

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import order_key
-from vanish.orders import GREVLEX, GRLEX, LEX, MonomialOrder, elimination_order
+from vanish.orders import (
+    GREVLEX,
+    GRLEX,
+    LEX,
+    MonomialOrder,
+    elimination_order,
+)
 
 # every kind and every inner order; (1, 3) and (2, 0) are not prefixes
 ALL_ORDERS = [LEX, GRLEX, GREVLEX] + [
@@ -100,12 +106,42 @@ def test_key_matches_reference(order, exps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ALL_ORDERS),
-       st.lists(st.integers(0, 4), min_size=4, max_size=4).map(tuple),
-       st.lists(st.integers(0, 4), min_size=4, max_size=4).map(tuple))
-def test_desc_key_reverses_key(order, a, b):
-    assert (order.desc_key(a) < order.desc_key(b)) == (order.key(a) > order.key(b))
-    assert (order.desc_key(a) == order.desc_key(b)) == (a == b)
+@given(st.sampled_from(ALL_ORDERS), st.sampled_from([0, 200, 255, 256, 70000]),
+       st.lists(st.integers(0, 4) | st.integers(124, 127), min_size=4, max_size=4).map(tuple),
+       st.lists(st.integers(0, 4) | st.integers(124, 127), min_size=4, max_size=4).map(tuple))
+def test_packing_matches_key(order, bound, a, b):
+    # K ranks like key and is additive; E decodes and tests divisibility
+    packing = order.packing(4, bound)
+    assert packing.limit > bound
+    ka, ea = packing.pack(a)
+    kb, eb = packing.pack(b)
+    assert (ka < kb) == (order.key(a) < order.key(b))
+    assert (ka == kb) == (a == b)
+    assert packing.pack(tuple(x + y for x, y in zip(a, b))) == (ka + kb, ea + eb)
+    assert packing.unpack(ea) == a
+    assert (not (eb - ea) & packing.guard) == all(x <= y for x, y in zip(a, b))
+    # with the fields full: exponents up to the limit minus 1
+    ta, tb = (tuple(packing.limit - 1 - x for x in t) for t in (a, b))
+    kta, ktb = packing.pack(ta)[0], packing.pack(tb)[0]
+    assert (kta < ktb) == (order.key(ta) < order.key(tb))
+    assert (kta == ktb) == (ta == tb)
+
+
+def test_packing_limits():
+    # exponents below the limit pack; at the limit, packing or a product
+    # setting a guard bit is an overflow the caller must widen for
+    packing = GREVLEX.packing(3)
+    top = packing.limit - 1
+    _, e = packing.pack((top, 0, 1))
+    assert packing.unpack(e) == (top, 0, 1)
+    assert (e + packing.pack((1, 0, 0))[1]) & packing.guard
+    assert not (e + packing.pack((0, top, 0))[1]) & packing.guard
+    with pytest.raises(OverflowError):
+        packing.pack((0, packing.limit, 0))
+    wider = GREVLEX.packing(3, packing.limit)
+    assert wider.limit == packing.limit ** 2
+    assert wider.unpack(wider.pack((0, packing.limit, 0))[1]) == (0, packing.limit, 0)
+    assert GREVLEX.packing(3) is packing
 
 
 class TestOrderIdentity:
@@ -123,4 +159,4 @@ class TestOrderIdentity:
         copy = pickle.loads(pickle.dumps(order))
         assert copy == order
         assert copy.key((1, 2, 3, 4)) == order.key((1, 2, 3, 4))
-        assert copy.desc_key((1, 2, 3, 4)) == order.desc_key((1, 2, 3, 4))
+        assert copy.packing(4).pack((1, 2, 3, 4)) == order.packing(4).pack((1, 2, 3, 4))

@@ -214,6 +214,15 @@ class TestCalculusAndSubstitution:
         assert f.differentiate("x") == 3 * x**2 * y
         assert f.differentiate("z") == 2 * z
         assert f.differentiate("y") == x**3
+        assert f.differentiate(2) == 2 * z
+
+    def test_differentiate_unknown_variable(self, r3):
+        x, _, _ = r3.gens()
+        with pytest.raises(KeyError, match="no variable 'q'"):
+            x.differentiate("q")
+        for index in (3, -1):
+            with pytest.raises(IndexError, match="variable index"):
+                x.differentiate(index)
 
     def test_substitute_within_ring(self, r2):
         x, y = r2.gens()
