@@ -61,6 +61,8 @@ class CoefficientField:
         """Normalize an int, Fraction, or string like '2/3' into the field."""
         if self.p is None:
             return Fraction(value)
+        if isinstance(value, str):
+            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")

@@ -32,6 +32,16 @@ def fresh_name(base: str, taken) -> str:
     return f"{base}{k}"
 
 
+def adjoin(ring: PolyRing, base: str):
+    """(big, v, lift): ``ring`` with a fresh first variable v named from
+    ``base``, that variable, and the map lifting a polynomial of ``ring``
+    into ``big``."""
+    name = fresh_name(base, ring.variables)
+    big = PolyRing(ring.field, (name,) + ring.variables)
+    up = range(1, ring.nvars + 1)
+    return big, big.variable(name), lambda f: map_variables(f, big, up)
+
+
 def map_variables(f: Polynomial, target: PolyRing, positions) -> Polynomial:
     """Reindex variables: old variable i becomes target variable
     positions[i].  A position of None demands the variable is absent."""
@@ -190,20 +200,11 @@ class Ideal:
             return _monomial_ideal(self.ring, [
                 monomial_lcm(a, b) for a in self.monomial_exponents()
                 for b in other.monomial_exponents()])
-        ring = self.ring
-        tname = fresh_name("t", ring.variables)
-        big = PolyRing(ring.field, (tname,) + ring.variables)
-        up = [i + 1 for i in range(ring.nvars)]
-        t = big.variable(tname)
+        big, t, lift = adjoin(self.ring, "t")
         one_minus_t = big.one() - t
-        gens = [t * map_variables(f, big, up) for f in self.gens]
-        gens += [one_minus_t * map_variables(g, big, up) for g in other.gens]
-        order = MonomialOrder("block", elim=(0,))
-        basis = buchberger(big, gens, order)
-        down = [None] + list(range(ring.nvars))
-        kept = [map_variables(g, ring, down)
-                for g in basis if g.degree_in(0) == 0]
-        return Ideal(ring, kept)
+        gens = [t * lift(f) for f in self.gens]
+        gens += [one_minus_t * lift(g) for g in other.gens]
+        return Ideal(big, gens).eliminate(big.variables[:1])
 
     def colon(self, divisor) -> "Ideal":
         """I : f for a polynomial (closed form if monomial), or I : J per generator."""
@@ -266,13 +267,9 @@ class Ideal:
             a = next(iter(f.terms))
             return any(all(y or not x for x, y in zip(e, a))
                        for e in self.monomial_exponents())
-        ring = self.ring
-        wname = fresh_name("w", ring.variables)
-        big = PolyRing(ring.field, (wname,) + ring.variables)
-        up = [i + 1 for i in range(ring.nvars)]
-        w = big.variable(wname)
-        gens = [map_variables(g, big, up) for g in self.gens]
-        gens.append(big.one() - w * map_variables(f, big, up))
+        big, w, lift = adjoin(self.ring, "w")
+        gens = [lift(g) for g in self.gens]
+        gens.append(big.one() - w * lift(f))
         return Ideal(big, gens).is_unit()
 
     def dimension(self) -> int:

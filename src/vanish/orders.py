@@ -8,25 +8,27 @@ An order is a sort key on exponent tuples.  Supported kinds:
 * ``block``    an elimination order: a leading block of variables compared
                by grevlex first, remaining variables by an inner order
 
-Keys are built so that Python's native tuple comparison ranks monomials,
-with larger keys meaning larger monomials.
+A key is a flat tuple of exponent sums over fixed sets of variables (the
+0/1 rows of a matrix order): Python's tuple comparison ranks monomials,
+larger keys meaning larger monomials, and key(a + b) = key(a) + key(b)
+entrywise.  lex keys the exponents; grlex the degree, then all exponents
+but the last; grevlex the prefix sums, longest first; block the grevlex
+key of its eliminated variables, then the inner key of the rest.
 
-Each kind is also a matrix order with 0/1 rows: lex the identity; grlex
-all-ones, then the identity; grevlex all-ones, then the prefix rows
-(1,...,1,0), ..., (1,0,...,0); block the grevlex rows of its eliminated
-variables, then the inner order's rows of the rest.  A :class:`Packing`
-of width W maps exponent tuples below 2**W to two ints.  K packs the row
-dot products, the first row on top: it is additive and ordered like the
-keys.  E packs the exponents with a guard bit above each field: x^a
-divides x^b exactly when ``(E(b) - E(a)) & guard`` is 0, and a sum sets a
-guard bit exactly when an exponent reaches 2**W.  K is one-to-one only
-below 2**W, so a product's guard bits are read before its K is used; on
-an overflow the caller starts over at twice the width.
+A :class:`Packing` of width W, read off the key, maps exponent tuples
+below 2**W to two ints.  K packs the key's entries, the first on top: it
+is additive and ordered like the keys.  E packs the exponents with a
+guard bit above each field: x^a divides x^b exactly when
+``(E(b) - E(a)) & guard`` is 0, and a sum sets a guard bit exactly when
+an exponent reaches 2**W.  K is one-to-one only below 2**W, so a
+product's guard bits are read before its K is used; on an overflow the
+caller starts over at twice the width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import mul
 
 
@@ -51,9 +53,8 @@ class MonomialOrder:
         # the key function is chosen once and packings are compiled once
         # per (nvars, width); neither is a field, so equality and hashing
         # still see only kind, elim and inner
-        object.__setattr__(self, "_key", _block_key(
-            self.elim, _KEYS["grevlex"], _KEYS[self.inner])
-            if self.kind == "block" else _KEYS[self.kind])
+        object.__setattr__(self, "_key", _block_key(self.elim, _KEYS[self.inner])
+                           if self.kind == "block" else _KEYS[self.kind])
         object.__setattr__(self, "_packings", {})
 
     def __reduce__(self):
@@ -70,11 +71,7 @@ class MonomialOrder:
         while bound >> width:
             width *= 2
         if (nvars, width) not in self._packings:
-            # only a block order has eliminated variables
-            rest = tuple(i for i in range(nvars) if i not in self.elim)
-            rest_kind = self.inner if self.elim else self.kind
-            rows = _rows("grevlex", self.elim) + _rows(rest_kind, rest)
-            self._packings[nvars, width] = Packing(nvars, width, rows)
+            self._packings[nvars, width] = Packing(nvars, width, self._key)
         return self._packings[nvars, width]
 
     def __str__(self):
@@ -83,39 +80,45 @@ class MonomialOrder:
         return self.kind
 
 
+def _grevlex(exps):
+    # a larger prefix sum at equal degree is a smaller exponent on the
+    # last variable, then on the second-to-last, and so on
+    return tuple(accumulate(exps))[::-1]
+
+
 _KEYS = {
     "lex": lambda exps: exps,
-    "grlex": lambda exps: (sum(exps), exps),
-    # ties by total degree break in favor of the monomial with the
-    # *smaller* exponent on the last variable, then second-to-last, etc.
-    "grevlex": lambda exps: (sum(exps), tuple(-e for e in reversed(exps))),
+    # the last exponent follows from the degree and the others
+    "grlex": lambda exps: (sum(exps), *exps[:-1]),
+    "grevlex": _grevlex,
 }
 
 
-def _rows(kind: str, positions: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Rows of a lex, grlex or grevlex order on the variables at
-    ``positions``, each given by the positions where it is 1."""
-    if kind == "grevlex":
-        return [positions[:k] for k in range(len(positions), 0, -1)]
-    units = [positions[i:i + 1] for i in range(len(positions))]
-    # grlex leaves out the last unit row: it follows from the others
-    return units if kind == "lex" else [positions] + units[:-1]
+def _block_key(elim: tuple[int, ...], inner_key):
+    k = len(elim)
+    if elim == tuple(range(k)):
+        return lambda exps: _grevlex(exps[:k]) + inner_key(exps[k:])
+    elim_set = frozenset(elim)
+    return lambda exps: _grevlex(tuple(exps[i] for i in elim)) + inner_key(
+        tuple(e for i, e in enumerate(exps) if i not in elim_set))
 
 
 class Packing:
-    """The K and E encodings of one order at one field width."""
+    """The K and E encodings of one order, given by its key, at one field
+    width."""
 
-    def __init__(self, nvars: int, width: int, rows):
+    def __init__(self, nvars: int, width: int, key):
         self.limit = 1 << width
         self.shifts = range(0, (width + 1) * nvars, width + 1)
         self.guard = sum(self.limit << s for s in self.shifts)
         self._ew = [1 << s for s in self.shifts]
-        self._kw = [0] * nvars
-        shift = 0
-        for row in reversed(rows):      # the first row is most significant
-            for i in row:
-                self._kw[i] += 1 << shift
-            shift += (len(row) * (self.limit - 1)).bit_length()
+        # one K field per key entry, the first on top, each as wide as
+        # that entry gets below the limit; the key is additive, so K is
+        # the exponent-weighted sum of the units' Ks
+        top = key((self.limit - 1,) * nvars)
+        kshifts = [sum(v.bit_length() for v in top[j + 1:]) for j in range(len(top))]
+        units = (tuple(int(i == j) for j in range(nvars)) for i in range(nvars))
+        self._kw = [sum(v << s for v, s in zip(key(u), kshifts)) for u in units]
 
     def pack(self, exps) -> tuple[int, int]:
         """(K, E) of an exponent tuple."""
@@ -126,18 +129,6 @@ class Packing:
     def unpack(self, e: int) -> tuple[int, ...]:
         """The exponent tuple whose E is ``e``."""
         return tuple(e >> s & (self.limit - 1) for s in self.shifts)
-
-
-def _block_key(elim: tuple[int, ...], head_key, inner_key):
-    # compare the eliminated variables first (grevlex among themselves),
-    # then the rest by the inner order
-    k = len(elim)
-    if elim == tuple(range(k)):
-        return lambda exps: (head_key(exps[:k]), inner_key(exps[k:]))
-    elim_set = frozenset(elim)
-    return lambda exps: (
-        head_key(tuple(exps[i] for i in elim)),
-        inner_key(tuple(e for i, e in enumerate(exps) if i not in elim_set)))
 
 
 GREVLEX = MonomialOrder("grevlex")

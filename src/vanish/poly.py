@@ -72,10 +72,20 @@ class PolyRing:
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(v) for v in self.variables)
 
-    def monomial(self, exps, coeff=1) -> "Polynomial":
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
+    def exponents(self, exps) -> tuple[int, ...]:
+        """``exps`` as a tuple of one non-negative int per variable; a
+        float, string or other non-integer exponent is a ValueError."""
+        try:
+            exps = tuple(exps)
+            out = tuple(map(operator.index, exps))
+        except TypeError:
+            out = ()
+        if len(out) != self.nvars or min(out) < 0:
             raise ValueError(f"bad exponent tuple {exps} for {self}")
+        return out
+
+    def monomial(self, exps, coeff=1) -> "Polynomial":
+        exps = self.exponents(exps)
         c = self.field.coerce(coeff)
         if not c:
             return self.zero()
@@ -84,9 +94,7 @@ class PolyRing:
     def from_terms(self, terms: dict) -> "Polynomial":
         clean = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for {self}")
+            exps = self.exponents(exps)
             c = self.field.coerce(coeff)
             if c:
                 clean[exps] = c

@@ -13,7 +13,7 @@ import time
 from functools import reduce
 
 from .errors import RingMismatchError, UncertifiedSymbolicPowerError
-from .ideals import Ideal, coordinate_prime, fresh_name, map_variables
+from .ideals import Ideal, adjoin, coordinate_prime
 from .local import PrimeWitness, ord_along, symbolic_power
 from .poly import Polynomial, PolyRing
 from .reports import HypothesisReport, VerificationReport
@@ -27,8 +27,17 @@ def full_coordinate_prime(ring: PolyRing) -> Ideal:
 def _radical_sum_is_maximal(ideals) -> bool:
     """Is the radical of the summed ideals the origin's maximal ideal?"""
     s = reduce(lambda a, b: a + b, ideals)
-    return s.is_proper() and all(
-        s.radical_contains(s.ring.variable(name)) for name in s.ring.variables
+    return s.is_proper() and all(s.radical_contains(v) for v in s.ring.gens())
+
+
+def _hypotheses(ideals, dims, nvars: int) -> HypothesisReport:
+    """Radical-of-sum and dimension-count conditions for two ideals of
+    dimensions ``dims`` in ``nvars`` variables."""
+    return HypothesisReport(
+        radical_sum_is_maximal=_radical_sum_is_maximal(ideals),
+        dim_p=dims[0],
+        dim_q=dims[1],
+        dims_sum_to_d=sum(dims) == nvars,
     )
 
 
@@ -36,15 +45,8 @@ def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
     """Radical-of-sum and dimension-count conditions for a prime pair."""
     if p.ring != q.ring:
         raise RingMismatchError(f"{p.ring} vs {q.ring}")
-    radical_ok = _radical_sum_is_maximal([p.ideal, q.ideal])
-    dim_p = p.claimed_dim
-    dim_q = q.claimed_dim
-    return HypothesisReport(
-        radical_sum_is_maximal=radical_ok,
-        dim_p=dim_p,
-        dim_q=dim_q,
-        dims_sum_to_d=dim_p + dim_q == p.ring.nvars,
-    )
+    return _hypotheses([p.ideal, q.ideal], (p.claimed_dim, q.claimed_dim),
+                       p.ring.nvars)
 
 
 def _bridge_notes(*witnesses: PrimeWitness) -> list[str]:
@@ -181,11 +183,8 @@ def affine_vanishing_report(f: Polynomial, p: PrimeWitness,
         raise ValueError("f must lie in both primes")
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
-    t0 = time.perf_counter()
-    m = ord_along(p, f)
-    n = ord_along(q, f)
-    k = f.order_at_origin()
-    timings["orders"] = time.perf_counter() - t0
+    m, n, k = _timed(timings, "orders", lambda: (
+        ord_along(p, f), ord_along(q, f), f.order_at_origin()))
     meets = k >= m + n
     applicable = hyp.all_hold
     notes = _bridge_notes(p, q)
@@ -236,45 +235,32 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     _check_exponents(m, n)
     if I.ring != J.ring:
         raise RingMismatchError(f"{I.ring} vs {J.ring}")
-    ring = I.ring
+    nvars = I.ring.nvars
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    height_i = I.height()
-    height_j = J.height()
+    hyp = _timed(timings, "hypotheses", lambda: _hypotheses(
+        [I, J], (I.dimension(), J.dimension()), nvars))
+    height_i = nvars - hyp.dim_p
+    height_j = nvars - hyp.dim_q
     ci_i = height_i == len(I.gens)
     ci_j = height_j == len(J.gens)
-    radical_ok = _radical_sum_is_maximal([I, J])
-    dim_i = ring.nvars - height_i
-    dim_j = ring.nvars - height_j
-    hyp = HypothesisReport(
-        radical_sum_is_maximal=radical_ok,
-        dim_p=dim_i,
-        dim_q=dim_j,
-        dims_sum_to_d=dim_i + dim_j == ring.nvars,
-    )
-    timings["hypotheses"] = time.perf_counter() - t0
     notes = []
     if not all(g.is_homogeneous() for g in I.gens + J.gens):
         notes.append("graded bridge unverified")
-    t0 = time.perf_counter()
-    lhs = (I ** m).intersect(J ** n)
-    rhs = (I ** m) * (J ** n)
-    timings["intersection"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    equal = lhs == rhs
-    witness = None
-    if not equal:
-        # the product always sits inside the intersection, so a witness
-        # is an intersection element outside the product
-        for g in lhs.groebner_basis().polys:
-            if g not in rhs:
-                witness = g
-                break
-    timings["check"] = time.perf_counter() - t0
+    lhs, rhs = _timed(timings, "intersection", lambda: (
+        (I ** m).intersect(J ** n), (I ** m) * (J ** n)))
+
+    def check():
+        # the product always sits inside the intersection, so when the
+        # two differ a basis element of the intersection lies outside it
+        if lhs == rhs:
+            return None
+        return next(g for g in lhs.groebner_basis().polys if g not in rhs)
+
+    witness = _timed(timings, "check", check)
     return VerificationReport(
         claim="ci",
         hypotheses=hyp,
-        holds=equal,
+        holds=witness is None,
         witness=witness,
         timings=timings,
         applicable=ci_i and ci_j and hyp.all_hold,
@@ -293,26 +279,14 @@ def monomial_curve_prime(ring: PolyRing, exponents) -> PrimeWitness:
     parameter; the standard source of primes whose symbolic powers
     outgrow the ordinary ones.
     """
-    exps = tuple(int(a) for a in exponents)
-    if len(exps) != ring.nvars:
-        raise ValueError(
-            f"need one exponent per variable of {ring}, got {exps}")
-    if any(a < 1 for a in exps):
-        raise ValueError("exponents must be positive")
+    exps = ring.exponents(exponents)
+    _check_exponents(*exps)
     if math.gcd(*exps) != 1:
         raise ValueError(f"exponents {exps} must have gcd 1")
-    tname = fresh_name("t", ring.variables)
-    big = PolyRing(ring.field, (tname,) + ring.variables)
-    t = big.variable(tname)
-    up = [i + 1 for i in range(ring.nvars)]
-    gens = [
-        map_variables(ring.variable(v), big, up) - t ** a
-        for v, a in zip(ring.variables, exps)
-    ]
-    kernel = Ideal(big, gens).eliminate([tname])
+    big, t, lift = adjoin(ring, "t")
+    gens = [lift(v) - t ** a for v, a in zip(ring.gens(), exps)]
     return PrimeWitness(
-        Ideal(ring, [map_variables(g, ring, list(range(ring.nvars)))
-                     for g in kernel.gens]),
+        Ideal(big, gens).eliminate(big.variables[:1]),
         claimed_dim=1,
         witness=ring.variable(ring.variables[0]),
         weights=exps,

@@ -316,7 +316,7 @@ class TestBuchberger:
             for m in (1, 2):
                 for n in (1, 2):
                     verify_sp2(p, q, m, n)
-        assert len(calls) == 1261
+        assert len(calls) == 1133
 
     def test_monomial_inputs_form_no_s_polynomials(self, monkeypatch):
         # Monomial ideals take the closed forms (bases, intersections,

@@ -426,6 +426,23 @@ class TestMixedInputsTakeTheGeneralRoute:
         assert Ideal(r2, [x**2, y**2]).radical_contains(x + y)
         assert ("w", "x", "y") in basis_rings
 
+    def test_tag_names_avoid_the_ring_variables(self, basis_rings):
+        # over variables t, w, t0 the tags are t1 and w0, and the answers
+        # match the same computations over renamed variables
+        answers = []
+        for names in (("t", "w", "t0"), ("a", "b", "c")):
+            ring = PolyRing(QQ, names)
+            a, b, c = ring.gens()
+            meet = Ideal(ring, [a**2 - b * c, b + c]).intersect(Ideal(ring, [a - c]))
+            prime = Ideal(ring, [a**2 - b**3, c])
+            answers.append((
+                [sorted(g.terms.items()) for g in meet.groebner_basis()],
+                [prime.radical_contains(f) for f in (a**3 - a * b**3, b + c, a * c)]))
+        assert ("t1", "t", "w", "t0") in basis_rings
+        assert ("w0", "t", "w", "t0") in basis_rings
+        assert answers[0] == answers[1]
+        assert answers[0][1] == [True, False, True]
+
 
 # -- monomial ideals: the closed forms against box enumeration ---------------
 

@@ -21,6 +21,10 @@ ALL_ORDERS = [LEX, GRLEX, GREVLEX] + [
     for elim in ((0,), (0, 1), (1, 3), (2, 0))
     for inner in ("lex", "grlex", "grevlex")]
 
+# two exponent tuples of one length, 4 to 6 variables
+EXPONENT_PAIRS = st.integers(4, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple)] * 2))
+
 
 def sort_desc(order, exps):
     return sorted(exps, key=order.key, reverse=True)
@@ -99,10 +103,23 @@ class TestEliminationOrder:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ALL_ORDERS),
-       st.lists(st.integers(0, 5), min_size=4, max_size=6).map(tuple))
-def test_key_matches_reference(order, exps):
-    assert order.key(exps) == order_key(order, exps)
+@given(st.sampled_from(ALL_ORDERS), EXPONENT_PAIRS)
+def test_key_matches_reference(order, pair):
+    a, b = pair
+    # the key ranks like the oracle's and tells distinct tuples apart
+    assert (order.key(a) < order.key(b)) == (order_key(order, a) < order_key(order, b))
+    assert (order.key(a) == order.key(b)) == (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_ORDERS), EXPONENT_PAIRS)
+def test_key_is_additive_and_non_negative(order, pair):
+    a, b = pair
+    # the packings are read off the key, and rely on both
+    ka, kb = order.key(a), order.key(b)
+    assert order.key(tuple(x + y for x, y in zip(a, b))) == tuple(
+        x + y for x, y in zip(ka, kb))
+    assert len(ka) == len(kb) and min(ka, default=0) >= 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,6 +25,12 @@ class TestCoefficientField:
         assert f7.inv(3) == 5
         assert f7.coerce(-1) == 6
 
+    def test_prime_field_coerces_strings(self):
+        assert GF(7).coerce("2/3") == 3
+        assert GF(7).coerce("-1") == 6
+        with pytest.raises(ZeroDivisionError):
+            GF(7).coerce("1/7")
+
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             GF(6)
@@ -94,6 +100,17 @@ class TestRingConstruction:
             r2.monomial((1,))
         with pytest.raises(ValueError):
             r2.monomial((-1, 0))
+
+    @pytest.mark.parametrize("exps", [(0.5, 1), (1.0, 1), ("1", 2), (Fraction(1), 0),
+                                      (-1, 0), 5])
+    def test_non_integer_exponents_rejected(self, r2, exps):
+        # a float or string exponent used to be truncated by int()
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            r2.monomial(exps)
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            r2.from_terms({exps: 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            r2.from_terms({exps: 0})    # checked before the zero is dropped
 
 
 class TestArithmetic:

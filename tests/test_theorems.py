@@ -277,6 +277,11 @@ class TestMonomialCurvePrime:
             monomial_curve_prime(r3, (3, 0, 5))
         with pytest.raises(ValueError):
             monomial_curve_prime(r3, (2, 4, 6))
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            monomial_curve_prime(r3, (3, 4.5, 5))
+        # a generator is reported by its values, not as the spent ()
+        with pytest.raises(ValueError, match=r"bad exponent tuple \(3, 4\.5, 5\)"):
+            monomial_curve_prime(r3, (a for a in (3, 4.5, 5)))
 
     def test_witness_structure(self, r3):
         x, y, z = r3.gens()
