@@ -2,11 +2,13 @@
 
 Rational coefficients are ``fractions.Fraction`` values; prime-field
 coefficients are plain ints reduced into ``[0, p)``.  All arithmetic is
-exact; there is no floating-point path anywhere in the package.
+exact; there is no floating-point path anywhere in the package, and a
+float given as a coefficient is rejected.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,16 +60,19 @@ class CoefficientField:
         return 0 if self.p is None else self.p
 
     def coerce(self, value):
-        """Normalize an int, Fraction, or string like '2/3' into the field."""
+        """Normalize an int, Fraction, or string like '2/3' into the field;
+        anything else, a float included, is a TypeError."""
+        if isinstance(value, (str, Fraction)):
+            value = Fraction(value)
+        else:
+            value = operator.index(value)
         if self.p is None:
             return Fraction(value)
-        if isinstance(value, str):
-            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
+        return value % self.p
 
     def zero(self):
         return Fraction(0) if self.p is None else 0

@@ -4,8 +4,12 @@ Division has one loop, ``_reduce``, behind both :func:`divmod_poly` and
 :func:`normal_form`.  It works on the packed monomials of
 :mod:`vanish.orders`: a heap of -K ints orders the pending terms, the
 guard bits of an E difference test divisibility, and a multiple of a
-divisor term costs two integer additions.  Divisors cache their packed
-terms.  An overflow starts the division over at twice the field width.
+divisor term costs two integer additions.  Coefficients, like monomials,
+run in a working form there: over QQ a (numerator, denominator) pair in
+lowest terms, added and multiplied by Henrici's gcd steps, as
+``Fraction`` does, and over GF(p) an int reduced mod p inline.  Divisors
+cache their packed terms.  An overflow starts the division over at twice
+the field width.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .config import term_cap
 from .errors import TermCapExceededError
@@ -36,17 +42,23 @@ from .poly import (
 )
 
 
+def _working(fld, c):
+    """c in _reduce's working form: a (numerator, denominator) pair in
+    lowest terms over QQ, the int itself over GF(p)."""
+    return c if fld.p else (c.numerator, c.denominator)
+
+
 def _packed_divisor(d: Polynomial, order: MonomialOrder, packing: Packing):
-    """(K, E, 1/lc or None when lc is 1, [(K, E, coeff) of the tail]) of a
-    nonzero divisor, cached on it per packing."""
-    if d._packed is not None and d._packed[0] is packing:
-        return d._packed[1]
+    """(K, E, 1/lc or None when lc is 1, [(K, E, coeff in working form) of
+    the tail]) of a nonzero divisor, cached on it per packing."""
+    if d._packed is not None and d._packed[1] is packing:
+        return d._packed[2]
     le = d.leading_exps(order)
     lc = d.terms[le]
     fld = d.ring.field
     data = (*packing.pack(le), None if lc == fld.one() else fld.inv(lc),
-            [(*packing.pack(m), c) for m, c in d.terms.items() if m != le])
-    d._packed = (packing, data)
+            [(*packing.pack(m), _working(fld, c)) for m, c in d.terms.items() if m != le])
+    d._packed = (order, packing, data)
     return data
 
 
@@ -54,17 +66,20 @@ def _reduce(f: Polynomial, divisors, order: MonomialOrder, with_quotients=False,
     """(remainder, quotients) of f on division by the divisors, each step
     using the first that divides; quotients is None unless asked for.
 
-    The packing is the narrowest that holds ``bound`` and every exponent
-    of the inputs; a product past its limit starts the call over at twice
-    the width."""
-    packing = order.packing(
-        f.ring.nvars, max(bound, *(h.max_exponent() for h in (f, *divisors))))
+    The packing is the narrowest that holds ``bound``, every exponent of
+    the inputs and the divisors' cached packings of this order, so a width
+    that overflowed once stays; a product past its limit starts the call
+    over at twice the width."""
+    packing = order.packing(f.ring.nvars, max(bound, f.max_exponent(), *(
+        d._packed[1].limit - 1 if d._packed is not None and d._packed[0] is order
+        else d.max_exponent() for d in divisors)))
     fld = f.ring.field
-    mul, add, neg = fld.mul, fld.add, fld.neg
+    mod = fld.p
     heappush, heappop = heapq.heappush, heapq.heappop
     cap = term_cap()
     guard = packing.guard
-    packed = [(*packing.pack(m), c) for m, c in f.terms.items()]
+    back = (lambda c: c) if mod else (lambda c: Fraction(*c))
+    packed = [(*packing.pack(m), _working(fld, c)) for m, c in f.terms.items()]
     p = {k: c for k, _, c in packed}        # K -> coefficient of the pending terms
     exps = {k: e for k, e, _ in packed}     # K -> E
     div_data = [(i, _packed_divisor(d, order, packing))
@@ -83,30 +98,42 @@ def _reduce(f: Polynomial, divisors, order: MonomialOrder, with_quotients=False,
             if (e - de) & guard:
                 continue
             shift_k, shift_e = k - dk, e - de
-            factor = lc if inv is None else mul(lc, inv)
+            factor = lc if inv is None else _working(fld, fld.mul(back(lc), inv))
             if with_quotients:
                 quotients[i][shift_e] = factor
             # p -= factor * x^shift * d; the leading term cancels lt.  K
             # is one-to-one only below the limit, so every product is
             # checked before its K is looked up
-            factor = neg(factor)
+            factor = -factor if mod else (-factor[0], factor[1])
             for tk, te, c in tail:
                 me = te + shift_e
                 if me & guard:
                     return _reduce(f, divisors, order, with_quotients, packing.limit)
                 m = tk + shift_k
-                v = mul(factor, c)
                 old = p.get(m)
+                if mod:
+                    v = (factor * c if old is None else old + factor * c) % mod
+                else:
+                    # the steps of Fraction's __mul__ and __add__
+                    (n, d), (cn, cd) = factor, c
+                    g1, g2 = gcd(n, cd), gcd(cn, d)
+                    n, d = n // g1 * (cn // g2), d // g2 * (cd // g1)
+                    if old is not None:
+                        on, od = old
+                        g = gcd(od, d)
+                        s = od // g
+                        t = on * (d // g) + n * s
+                        g = gcd(t, g)
+                        n, d = t // g, s * (d // g)
+                    v = (n, d) if n else 0
                 if old is None:
                     p[m] = v
                     exps[m] = me
                     heappush(heap, -m)
+                elif v:
+                    p[m] = v
                 else:
-                    v = add(old, v)
-                    if v:
-                        p[m] = v
-                    else:
-                        del p[m]
+                    del p[m]
             break
         else:
             remainder[e] = lc
@@ -115,8 +142,8 @@ def _reduce(f: Polynomial, divisors, order: MonomialOrder, with_quotients=False,
                 f"reduction intermediate exceeds the term cap ({cap}); "
                 "set VANISH_TERM_CAP to raise it")
     unpack = packing.unpack
-    return ({unpack(e): c for e, c in remainder.items()},
-            [{unpack(e): c for e, c in q.items()} for q in quotients]
+    return ({unpack(e): back(c) for e, c in remainder.items()},
+            [{unpack(e): back(c) for e, c in q.items()} for q in quotients]
             if with_quotients else None)
 
 

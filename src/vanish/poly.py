@@ -117,7 +117,7 @@ class Polynomial:
         self.terms = terms
         self._hash = None
         self._lead = None   # (order, exps) of the last leading_exps lookup
-        self._packed = None  # (packing, data) of the last use as a divisor
+        self._packed = None  # (order, packing, data) of the last use as a divisor
         self._top = None     # max_exponent, once asked for
 
     # -- predicates ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Division, S-polynomials, Buchberger, and basis certificates."""
 
 import itertools
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -31,8 +32,9 @@ from vanish.orders import (
 from vanish.poly import PolyRing
 from vanish.theorems import verify_sp2
 
+GF_PRIME = 32003
 R4 = {"QQ": PolyRing(QQ, ("w", "x", "y", "z")),
-      "GF": PolyRing(GF(32003), ("w", "x", "y", "z"))}
+      "GF": PolyRing(GF(GF_PRIME), ("w", "x", "y", "z"))}
 DIVISION_ORDERS = [LEX, GREVLEX, GRLEX, elimination_order(1),
                    MonomialOrder("block", elim=(1, 3))]
 
@@ -77,6 +79,14 @@ class TestDivision:
         assert quotients[0].is_zero()
         assert quotients[1] == y
 
+    def test_sums_cancel_a_common_factor(self, r2):
+        # 1/6 + 1/6 = 2/6 = 1/3: the sum's gcd step divides the shared
+        # denominator by the factor its numerator took
+        x, y = r2.gens()
+        quotients, remainder = divmod_poly(x + Fraction(1, 6) * y, [x - Fraction(1, 6) * y], LEX)
+        assert quotients == [r2.one()]
+        assert remainder == Fraction(1, 3) * y
+
     def test_normal_form_agrees_with_divmod(self, r3):
         x, y, z = r3.gens()
         f = x**3 * y - z**2 + x
@@ -109,6 +119,51 @@ def test_division_matches_naive_oracle(problem):
     quotients, remainder = divmod_poly(f, divisors, order)
     assert (quotients, remainder) == naive_divmod(f, divisors, order)
     assert normal_form(f, divisors, order) == remainder
+
+
+@st.composite
+def rational_division_problems(draw):
+    """Like ``division_problems``, with coefficients p/q for |p|, q up to
+    10**30, both prime to the characteristic over GF, and nonzero divisors
+    that are never monic, so every step scales by an inverse leading
+    coefficient."""
+    ring = R4[draw(st.sampled_from(sorted(R4)))]
+    big = st.integers(-10**30, 10**30).filter(lambda n: n % GF_PRIME)
+    coeff = st.builds(Fraction, big, big.map(abs))
+    monomial = st.tuples(*[st.integers(0, 2)] * 4)
+
+    def poly(min_terms, max_terms):
+        terms = draw(st.dictionaries(monomial, coeff, min_size=min_terms,
+                                     max_size=max_terms))
+        return ring.from_terms(terms)
+
+    order = draw(st.sampled_from(DIVISION_ORDERS))
+    divisors = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = poly(1, 3)
+        if d.leading_coefficient(order) == ring.field.one():
+            d = d * 3
+        divisors.append(d)
+    return poly(0, 8), divisors, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_division_problems())
+def test_rational_division_matches_naive_oracle(problem):
+    # large coefficients through the working-form arithmetic: the oracle
+    # runs on CoefficientField operations, so it is independent of it
+    f, divisors, order = problem
+    quotients, remainder = divmod_poly(f, divisors, order)
+    assert (quotients, remainder) == naive_divmod(f, divisors, order)
+    assert normal_form(f, divisors, order) == remainder
+    assert sum((q * d for q, d in zip(quotients, divisors)), start=remainder) == f
+    mod = f.ring.field.p
+    for h in (*quotients, remainder):
+        for c in h.terms.values():
+            if mod is None:
+                assert type(c) is Fraction
+            else:
+                assert type(c) is int and 0 < c < mod
 
 
 class TestReductionWork:
@@ -209,6 +264,19 @@ class TestPackedWidths:
         pack = Packing.pack
         monkeypatch.setattr(Packing, "pack", lambda self, exps: calls.append(exps) or pack(self, exps))
         assert normal_form(f, divisors, LEX) == remainder
+        assert len(calls) == len(f.terms)
+
+    def test_an_overflowed_width_stays(self, r2, monkeypatch):
+        # x^3 by x - y^100 overflows the 8-bit fields; the divisor keeps
+        # its 16-bit packing of the order, so a second call starts there
+        # and packs only the terms of f
+        x, y = r2.gens()
+        f, divisors = x**3 + x * y, [x - y**100]
+        assert normal_form(f, divisors, LEX) == y**300 + y**101
+        calls = []
+        pack = Packing.pack
+        monkeypatch.setattr(Packing, "pack", lambda self, exps: calls.append(exps) or pack(self, exps))
+        assert normal_form(f, divisors, LEX) == y**300 + y**101
         assert len(calls) == len(f.terms)
 
     def test_buchberger_widens_for_a_new_leading_monomial(self, r2):

@@ -31,6 +31,21 @@ class TestCoefficientField:
         with pytest.raises(ZeroDivisionError):
             GF(7).coerce("1/7")
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_floats_are_rejected(self, field):
+        # a float is not an exact coefficient: no truncation to 2 over
+        # GF(7), no binary expansion of 0.1 over QQ
+        ring = PolyRing(field, ("x",))
+        for value in (2.5, 0.1, 2.0):
+            with pytest.raises(TypeError):
+                field.coerce(value)
+            with pytest.raises(TypeError):
+                ring.constant(value)
+            with pytest.raises(TypeError):
+                ring.monomial((1,), value)
+        assert field.coerce(True) == field.one()
+        assert ring.monomial((1,), "3") == 3 * ring.variable("x")
+
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             GF(6)
