@@ -17,7 +17,7 @@ from .errors import (
     UnitIdealError,
     ZeroDivisorRequestError,
 )
-from .groebner import GroebnerBasis, buchberger, divmod_poly, normal_form
+from .groebner import GroebnerBasis, buchberger, divmod_poly
 from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolyRing, minimal_exponents, monomial_lcm
 

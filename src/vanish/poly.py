@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import term_cap
 from .errors import RingMismatchError, TermCapExceededError
-from .fields import CoefficientField, QQ
+from .fields import CoefficientField
 from .orders import GREVLEX, MonomialOrder
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -110,15 +110,13 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_packed", "_top")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
         self._lead = None   # (order, exps) of the last leading_exps lookup
-        self._packed = None  # (order, packing, data) of the last use as a divisor
-        self._top = None     # max_exponent, once asked for
 
     # -- predicates ----------------------------------------------------
 
@@ -155,12 +153,6 @@ class Polynomial:
         if not self.terms:
             return math.inf
         return min(sum(e) for e in self.terms)
-
-    def max_exponent(self) -> int:
-        """Largest exponent of any variable in any term; 0 for zero."""
-        if self._top is None:
-            self._top = max(map(max, self.terms), default=0)
-        return self._top
 
     def degree_in(self, var_index: int) -> int:
         if not self.terms:
@@ -403,9 +395,6 @@ def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
 
 def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.add, a, b))
 
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal tuples of ``exps``, once each, ordered by

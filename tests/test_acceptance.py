@@ -6,15 +6,17 @@ import random
 import time
 
 from oracles import graded_pieces_agree, membership_by_divisibility
+from random_cases import (
+    random_ideal,
+    random_monomial,
+    random_monomial_ideal,
+    random_polynomial,
+)
 from vanish.fixtures import (
     ci_example_pairs,
     crossing_lines_pair,
     curated_sp2_pairs,
     curve_345,
-    random_ideal,
-    random_monomial,
-    random_monomial_ideal,
-    random_polynomial,
     ring_q,
     transverse_split_pair,
 )

@@ -1,6 +1,7 @@
 """Division, S-polynomials, Buchberger, and basis certificates."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -29,7 +30,7 @@ from vanish.orders import (
     Packing,
     elimination_order,
 )
-from vanish.poly import PolyRing
+from vanish.poly import PolyRing, monomial_lcm
 from vanish.theorems import verify_sp2
 
 GF_PRIME = 32003
@@ -169,9 +170,9 @@ def test_rational_division_matches_naive_oracle(problem):
 class TestReductionWork:
     def test_each_term_keyed_once(self, monkeypatch):
         # One packing per term of f: the terms a reduction step creates are
-        # packed by integer addition, and each divisor's packed terms are
-        # cached on it.  A per-step search of the live terms for the
-        # leading one would key far more.
+        # packed by integer addition, and a basis's divisors are packed
+        # once, by its reducer.  A per-step search of the live terms for
+        # the leading one would key far more.
         ring = R4["QQ"]
         w, x, y, z = ring.gens()
         quadrics = [w*x + 2*y*z - z**2, x**2 - 3*w*y + y*z, w**2 + x*z - 5*y**2]
@@ -179,7 +180,9 @@ class TestReductionWork:
         cubic = (w + x + y + z) ** 3
         f = (cubic * quadrics[0] + (cubic - 2*w**3) * quadrics[1]
              + (cubic + x*y*z) * quadrics[2] + 7*w*x*y*z*z)
-        normal_form(f, basis, GREVLEX)   # warm the divisors' cached data
+        quotients, remainder = divmod_poly(f, basis, GREVLEX)
+        gb = GroebnerBasis(ring, GREVLEX, tuple(basis))
+        gb.reduce(f)    # build the basis's reducer
         calls = []
 
         def counting(orig):
@@ -190,13 +193,10 @@ class TestReductionWork:
 
         monkeypatch.setattr(MonomialOrder, "key", counting(MonomialOrder.key))
         monkeypatch.setattr(Packing, "pack", counting(Packing.pack))
-        quotients, remainder = divmod_poly(f, basis, GREVLEX)
         bound = len(f.terms) + sum(len(q.terms) * (len(g.terms) - 1)
                                    for q, g in zip(quotients, basis))
         assert not remainder.is_zero()
-        assert len(f.terms) <= len(calls) <= bound
-        calls.clear()
-        assert normal_form(f, basis, GREVLEX) == remainder
+        assert gb.reduce(f) == remainder
         assert len(f.terms) <= len(calls) <= bound
 
     def test_interreduction_is_one_pass(self, monkeypatch):
@@ -209,8 +209,9 @@ class TestReductionWork:
         assert len(reduced) > 2
         # adding the next smaller element keeps each leading monomial
         minimal = [reduced[0]] + [g + 2 * h for g, h in zip(reduced[1:], reduced)]
-        calls = count_normal_forms(monkeypatch)
-        assert groebner._interreduce(minimal, GREVLEX) == reduced
+        calls = count_divisor_calls(monkeypatch, "reduce")
+        divisors = groebner._Divisors(ring, GREVLEX, minimal)
+        assert groebner._interreduce(minimal, divisors) == reduced
         assert len(calls) == len(reduced)
 
 
@@ -255,28 +256,30 @@ class TestPackedWidths:
         assert normal_form(f, divisors, LEX) == y**256 + y**200
 
     def test_wide_inputs_keep_their_cached_packing(self, r2, monkeypatch):
-        # the packing starts wide enough for every input exponent, so a
-        # second call packs only the terms of f
+        # a basis's reducer packs its divisors once, wide enough for every
+        # exponent, so a second reduction packs only the terms of f
         x, y = r2.gens()
-        f, divisors = x**2 * y + x * y**3, [x - y**300, y**400 - x * y]
-        remainder = normal_form(f, divisors, LEX)
+        f, divisors = x**2 * y + x * y**3, (x - y**300, y**400 - x * y)
+        gb = GroebnerBasis(r2, LEX, divisors)
+        remainder = gb.reduce(f)
+        assert remainder == normal_form(f, divisors, LEX)
         calls = []
         pack = Packing.pack
         monkeypatch.setattr(Packing, "pack", lambda self, exps: calls.append(exps) or pack(self, exps))
-        assert normal_form(f, divisors, LEX) == remainder
+        assert gb.reduce(f) == remainder
         assert len(calls) == len(f.terms)
 
     def test_an_overflowed_width_stays(self, r2, monkeypatch):
-        # x^3 by x - y^100 overflows the 8-bit fields; the divisor keeps
-        # its 16-bit packing of the order, so a second call starts there
-        # and packs only the terms of f
+        # x^3 by x - y^100 overflows the 8-bit fields; the basis's reducer
+        # keeps the 16-bit packing, so a second reduction starts there and
+        # packs only the terms of f
         x, y = r2.gens()
-        f, divisors = x**3 + x * y, [x - y**100]
-        assert normal_form(f, divisors, LEX) == y**300 + y**101
+        f, gb = x**3 + x * y, GroebnerBasis(r2, LEX, (x - y**100,))
+        assert gb.reduce(f) == y**300 + y**101
         calls = []
         pack = Packing.pack
         monkeypatch.setattr(Packing, "pack", lambda self, exps: calls.append(exps) or pack(self, exps))
-        assert normal_form(f, divisors, LEX) == y**300 + y**101
+        assert gb.reduce(f) == y**300 + y**101
         assert len(calls) == len(f.terms)
 
     def test_buchberger_widens_for_a_new_leading_monomial(self, r2):
@@ -284,6 +287,42 @@ class TestPackedWidths:
         gb = buchberger(r2, [x - y**150, x**2], LEX)
         assert gb == [x - y**150, y**300]
         assert GroebnerBasis(r2, LEX, tuple(gb)).check_certificate()
+
+    def test_s_pair_set_up_widens_past_the_limit(self, r2):
+        # the pair (x^2 - y^250, x*y^10 - 1) starts as y^10 (x^2 - y^250),
+        # whose tail y^260 is past the 8-bit fields: the set-up must read
+        # its guard bits and start over wider
+        x, y = r2.gens()
+        gb = buchberger(r2, [x**2 - y**250, x * y**10 - 1], LEX)
+        assert gb == [x - y**260, y**270 - 1]
+        assert GroebnerBasis(r2, LEX, tuple(gb)).check_certificate()
+
+
+@st.composite
+def s_pair_problems(draw):
+    """Two to four monic polynomials, an order and a pair i < j of them.
+    An exponent of 128 in a tail, shifted by 128, meets the 8-bit field
+    limit."""
+    ring = R4[draw(st.sampled_from(sorted(R4)))]
+    order = draw(st.sampled_from(DIVISION_ORDERS))
+    exponent = st.integers(0, 2) | st.just(128)
+    coeff = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 50))
+    terms = st.dictionaries(st.tuples(*[exponent] * 4), coeff, min_size=1, max_size=4)
+    G = [ring.from_terms(t).monic(order)
+         for t in draw(st.lists(terms, min_size=2, max_size=4))]
+    j = draw(st.integers(1, len(G) - 1))
+    return G, order, draw(st.integers(0, j - 1)), j
+
+
+@settings(max_examples=150, deadline=None)
+@given(s_pair_problems())
+def test_s_pair_route_matches_spoly(problem):
+    # the pair set-up inside the reducer and the polynomial-arithmetic
+    # spoly give the same remainder
+    G, order, i, j = problem
+    lcm = monomial_lcm(G[i].leading_exps(order), G[j].leading_exps(order))
+    pair = groebner._Divisors(G[0].ring, order, G).pair(i, j, lcm)
+    assert pair == normal_form(spoly(G[i], G[j], order), G, order)
 
 
 class TestSPolynomial:
@@ -299,28 +338,18 @@ class TestSPolynomial:
         assert spoly(f, f, GREVLEX).is_zero()
 
 
-def count_spolys(monkeypatch) -> list:
-    """Wrap ``vanish.groebner.spoly``; the list returned grows by one for
-    each S-polynomial formed from then on."""
+def count_divisor_calls(monkeypatch, name) -> list:
+    """Wrap the reducer's method ``name``; the list returned grows by one
+    for each call from then on.  Its ``pair`` is called once for each
+    S-pair handed to the reducer."""
     calls = []
+    orig = getattr(groebner._Divisors, name)
 
-    def counting_spoly(*args):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return spoly(*args)
+        return orig(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "spoly", counting_spoly)
-    return calls
-
-
-def count_normal_forms(monkeypatch) -> list:
-    """Wrap ``vanish.groebner.normal_form`` like ``count_spolys``."""
-    calls = []
-
-    def counting_normal_form(*args):
-        calls.append(None)
-        return normal_form(*args)
-
-    monkeypatch.setattr(groebner, "normal_form", counting_normal_form)
+    monkeypatch.setattr(groebner._Divisors, name, counting)
     return calls
 
 
@@ -378,8 +407,9 @@ class TestBuchberger:
         # Which S-polynomials get formed depends on the order pairs leave
         # the queue, on the chain criterion's view of pending pairs and on
         # which ideals are monomial (those take the closed forms), so this
-        # machine-independent count pins all three.
-        calls = count_spolys(monkeypatch)
+        # machine-independent count of S-pairs handed to the reducer pins
+        # all three.
+        calls = count_divisor_calls(monkeypatch, "pair")
         for _, p, q in curated_sp2_pairs():
             for m in (1, 2):
                 for n in (1, 2):
@@ -393,7 +423,7 @@ class TestBuchberger:
         primes = {id(w): w for _, p, q in curated_sp2_pairs() for w in (p, q)
                   if w.is_coordinate_subspace}
         assert len(primes) == 17
-        calls = count_spolys(monkeypatch)
+        calls = count_divisor_calls(monkeypatch, "pair")
         ring = PolyRing(QQ, ("x", "y", "z"))
         monos = monomials_of_degree(3, 1) + monomials_of_degree(3, 2)
         chains = [c for k in range(len(monos) + 1)
@@ -448,6 +478,16 @@ class TestGroebnerBasisObject:
     def test_iteration_and_len(self, curve_basis):
         assert len(curve_basis) == 3
         assert all(not g.is_zero() for g in curve_basis)
+
+    def test_reducer_is_not_part_of_the_value(self, curve_basis, r3):
+        # the reducer a basis builds on first use stays out of equality,
+        # hashing and pickling
+        x, y, z = r3.gens()
+        assert curve_basis.contains(y**2 - x * z)
+        copy = pickle.loads(pickle.dumps(curve_basis))
+        assert sorted(vars(copy)) == ["order", "polys", "ring"]
+        assert copy == curve_basis and hash(copy) == hash(curve_basis)
+        assert copy.contains(y**2 - x * z)
 
     def test_failed_certificate_detected(self, r2):
         x, y = r2.gens()

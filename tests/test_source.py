@@ -1,0 +1,43 @@
+"""Checks on the source of ``src/vanish``, read with the stdlib ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vanish"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.  A name counts as read when
+    it appears as a Name node, in code or in a string annotation."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = ([node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       else [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+                       else [])
+        for a in annotations:
+            if isinstance(a, ast.Constant) and isinstance(a.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(a.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+              "from math import gcd, lcm\n\ndef f(x: 'Fraction') -> \"gcd\":\n    return os\n")
+    assert unused_imports(source) == ["regex", "lcm"]
