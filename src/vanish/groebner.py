@@ -58,15 +58,14 @@ class _Divisors:
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=()):
         self.ring, self.order, self.polys = ring, order, list(divisors)
+        ring.check(*self.polys)
         self._repack(0)
 
     def _repack(self, bound):
         # the narrowest packing that holds bound and every divisor
+        bound = max([bound, *(max(m) for d in self.polys for m in d.terms)])
         self.packing = self.order.packing(self.ring.nvars, bound)
-        try:
-            self.data = [self._pack(i, d) for i, d in enumerate(self.polys) if d]
-        except OverflowError:
-            self._repack(self.packing.limit)
+        self.data = [self._pack(i, d) for i, d in enumerate(self.polys) if d]
 
     def _pack(self, i, d):
         fld, pack = self.ring.field, self.packing.pack
@@ -76,16 +75,15 @@ class _Divisors:
                 [(*pack(m), _working(fld, c)) for m, c in d.terms.items() if m != le])
 
     def add(self, d: Polynomial):
-        """Append a nonzero divisor."""
+        """Append a nonzero divisor that fits the packing, as a remainder of
+        this reducer does: every term it holds passed the overflow checks."""
         self.polys.append(d)
-        try:
-            self.data.append(self._pack(len(self.polys) - 1, d))
-        except OverflowError:
-            self._repack(self.packing.limit)
+        self.data.append(self._pack(len(self.polys) - 1, d))
 
     def reduce(self, f: Polynomial, with_quotients=False):
         """(quotients or None, remainder) of f on division by the divisors,
         each step using the first that divides."""
+        self.ring.check(f)
         fld = self.ring.field
         return self._divide(lambda: [(*self.packing.pack(m), _working(fld, c))
                                      for m, c in f.terms.items()], None, with_quotients)
@@ -105,13 +103,15 @@ class _Divisors:
 
     def _divide(self, start, first=None, with_quotients=False):
         """Divide the pending [(K, E, coeff)] terms that ``start`` packs;
-        the first step takes divisor ``first`` when given.  An overflow
-        widens the packing and starts over."""
+        the first step takes divisor ``first`` when given.  An overflow, in
+        ``start`` or in a product, widens the packing and starts over."""
         try:
-            pending = start()
+            return self._steps(start(), first, with_quotients)
         except OverflowError:
             self._repack(self.packing.limit)
             return self._divide(start, first, with_quotients)
+
+    def _steps(self, pending, first, with_quotients):
         fld = self.ring.field
         mod = fld.p
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -146,8 +146,7 @@ class _Divisors:
                 for tk, te, c in tail:
                     me = te + shift_e
                     if me & guard:
-                        self._repack(self.packing.limit)
-                        return self._divide(start, first, with_quotients)
+                        raise OverflowError
                     m = tk + shift_k
                     old = p.get(m)
                     if mod:
@@ -222,6 +221,7 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     are already handled.
     """
     G = [g.monic(order) for g in gens if not g.is_zero()]
+    ring.check(*G)
     if any(g.is_constant() for g in G):
         return [ring.one()]
     lead = [g.leading_exps(order) for g in G]

@@ -12,11 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .errors import (
-    RingMismatchError,
-    UnitIdealError,
-    ZeroDivisorRequestError,
-)
+from .errors import UnitIdealError, ZeroDivisorRequestError
 from .groebner import GroebnerBasis, buchberger, divmod_poly
 from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolyRing, minimal_exponents, monomial_lcm
@@ -81,9 +77,7 @@ class Ideal:
         for g in gens:
             if not isinstance(g, Polynomial):
                 raise TypeError(f"ideal generator {g!r} is not a polynomial")
-            if g.ring != ring:
-                raise RingMismatchError(
-                    f"generator {g} lives in {g.ring}, not {ring}")
+            ring.check(g)
             if not g.is_zero():
                 clean.append(g)
         self.gens = tuple(clean)
@@ -105,8 +99,6 @@ class Ideal:
     def __contains__(self, f) -> bool:
         if not isinstance(f, Polynomial):
             return False
-        if f.ring != self.ring:
-            raise RingMismatchError(f"{f.ring} vs {self.ring}")
         return self.groebner_basis().contains(f)
 
     def __eq__(self, other):
@@ -182,8 +174,7 @@ class Ideal:
     def _check(self, other: "Ideal"):
         if not isinstance(other, Ideal):
             raise TypeError(f"expected an ideal, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise RingMismatchError(f"{other.ring} vs {self.ring}")
+        self.ring.check(other)
 
     # -- intersection, colon, saturation ---------------------------------------
 
@@ -217,8 +208,7 @@ class Ideal:
         f = divisor
         if not isinstance(f, Polynomial):
             raise TypeError(f"cannot colon by {type(f).__name__}")
-        if f.ring != self.ring:
-            raise RingMismatchError(f"{f.ring} vs {self.ring}")
+        self.ring.check(f)
         if f.is_zero():
             raise ZeroDivisorRequestError("colon by the zero polynomial")
         if f.is_constant():
@@ -257,8 +247,7 @@ class Ideal:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """f in sqrt(I): by supports if monomial, else 1 - w*f tested with a new w."""
-        if f.ring != self.ring:
-            raise RingMismatchError(f"{f.ring} vs {self.ring}")
+        self.ring.check(f)
         if f.is_zero():
             return True
         if self.is_unit():
@@ -293,7 +282,10 @@ class Ideal:
         return self.ring.nvars - self.dimension()
 
     def eliminate(self, names) -> "Ideal":
-        """Intersect with the subring omitting the named variables."""
+        """Intersect with the subring omitting the named variables.  The
+        result holds its reduced grevlex basis: the elements of the reduced
+        block-order basis free of them, in order, since the block order
+        ranks the other variables by grevlex."""
         names = list(names)
         if not names:
             return Ideal(self.ring, self.gens)
@@ -317,7 +309,9 @@ class Ideal:
             for g in basis
             if all(all(e[i] == 0 for i in idxs) for e in g.terms)
         ]
-        return Ideal(sub, kept)
+        out = Ideal(sub, kept)
+        out._gb_cache[GREVLEX] = GroebnerBasis(sub, GREVLEX, out.gens)
+        return out
 
 
 def _monomial_ideal(ring: PolyRing, exps) -> Ideal:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ideals import Ideal, independent_sets
 from .orders import GREVLEX
-from .poly import Polynomial, PolyRing, minimal_exponents, monomial_divides
+from .poly import Polynomial, PolyRing, minimal_exponents, monomial_divides, positive_int
 from .reports import VerificationReport
 
 
@@ -186,8 +186,8 @@ class PrimeWitness:
         self.ideal = ideal
         self.ring = ideal.ring
         if weights is not None:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != self.ring.nvars or any(w <= 0 for w in weights):
+            weights = tuple(positive_int(w, "weight") for w in weights)
+            if len(weights) != self.ring.nvars:
                 raise ValueError(f"bad weight vector {weights} for {self.ring}")
         self.weights = weights
 
@@ -248,10 +248,9 @@ class PrimeWitness:
         return all(g.is_homogeneous(self.weights) for g in self.ideal.gens)
 
     def probe_elements(self) -> list[Polynomial]:
-        probes = list(self._variables_outside())
-        if not self.witness.is_constant() and self.witness not in probes:
-            probes.append(self.witness)
-        return probes
+        """The variables outside the prime other than the witness: the
+        saturation ends on a colon by the witness that moves nothing."""
+        return [v for v in self._variables_outside() if v != self.witness]
 
     def __repr__(self):
         return (f"PrimeWitness({self.ideal!r}, dim={self.claimed_dim}, "
@@ -314,12 +313,12 @@ def symbolic_power(p: PrimeWitness, m: int) -> Ideal:
 
     The returned ideal always sits between the ordinary power and the
     prime, so its radical is the prime (each generator g of the prime has
-    g^m in the ordinary power), and it is stable under colon by every
-    probe element outside the prime.  Any violated probe raises instead
-    of returning a wrong ideal.
+    g^m in the ordinary power), and it is stable under colon by the
+    witness (the saturation stops only when its last colon leaves the
+    ideal unchanged) and by every probe element.  Any violated probe
+    raises instead of returning a wrong ideal.
     """
-    if m < 1:
-        raise ValueError(f"symbolic power exponent must be positive, got {m}")
+    m = positive_int(m)
     cached = p._symbolic_cache.get(m)
     if cached is not None:
         return cached
@@ -345,7 +344,7 @@ def ord_along(p: PrimeWitness, f: Polynomial, max_order: int | None = None) -> i
     """Largest m with f in the m-th symbolic power; 0 when f is not in p."""
     if f.is_zero():
         raise ValueError("the zero polynomial vanishes to every order")
-    cap = DEFAULT_ORD_CAP if max_order is None else max_order
+    cap = DEFAULT_ORD_CAP if max_order is None else positive_int(max_order, "max_order")
     order = 0
     while order < cap:
         if f in symbolic_power(p, order + 1):

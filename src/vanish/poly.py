@@ -72,6 +72,14 @@ class PolyRing:
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(v) for v in self.variables)
 
+    def check(self, *items) -> None:
+        """Raise RingMismatchError unless every item (a polynomial, an
+        ideal or a prime) lives in this ring."""
+        for item in items:
+            if item.ring != self:
+                raise RingMismatchError(
+                    f"{type(item).__name__} of {item.ring} used with {self}")
+
     def exponents(self, exps) -> tuple[int, ...]:
         """``exps`` as a tuple of one non-negative int per variable; a
         float, string or other non-integer exponent is a ValueError."""
@@ -186,15 +194,11 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot combine {self.ring} with {other.ring}")
-
     def __add__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        self._check_ring(other)
+        self.ring.check(other)
         fld = self.ring.field
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -228,7 +232,7 @@ class Polynomial:
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        self._check_ring(other)
+        self.ring.check(other)
         fld = self.ring.field
         cap = term_cap()
         out: dict = {}
@@ -287,11 +291,8 @@ class Polynomial:
         images = []
         for name in self.ring.variables:
             if name in mapping:
-                img = mapping[name]
-                if img.ring != target:
-                    raise RingMismatchError(
-                        f"image of {name} lives in {img.ring}, expected {target}")
-                images.append(img)
+                target.check(mapping[name])
+                images.append(mapping[name])
             else:
                 images.append(target.variable(name))
         result = target.zero()
@@ -382,6 +383,18 @@ def _wdeg(exps: tuple[int, ...], weights: tuple[int, ...] | None) -> int:
     if weights is None:
         return sum(exps)
     return sum(e * w for e, w in zip(exps, weights))
+
+
+def positive_int(n, what: str = "exponent") -> int:
+    """n as an int of at least 1, read through ``operator.index``; a
+    float, a string or a value below 1 is a ValueError."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return value
 
 
 # -- exponent-tuple helpers shared by the basis machinery -------------------

@@ -12,10 +12,10 @@ import math
 import time
 from functools import reduce
 
-from .errors import RingMismatchError, UncertifiedSymbolicPowerError
+from .errors import UncertifiedSymbolicPowerError
 from .ideals import Ideal, adjoin, coordinate_prime
 from .local import PrimeWitness, ord_along, symbolic_power
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, positive_int
 from .reports import HypothesisReport, VerificationReport
 
 
@@ -43,8 +43,7 @@ def _hypotheses(ideals, dims, nvars: int) -> HypothesisReport:
 
 def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
     """Radical-of-sum and dimension-count conditions for a prime pair."""
-    if p.ring != q.ring:
-        raise RingMismatchError(f"{p.ring} vs {q.ring}")
+    p.ring.check(q)
     return _hypotheses([p.ideal, q.ideal], (p.claimed_dim, q.claimed_dim),
                        p.ring.nvars)
 
@@ -60,11 +59,6 @@ def _timed(timings: dict[str, float], phase: str, fn, *args):
     result = fn(*args)
     timings[phase] = time.perf_counter() - t0
     return result
-
-
-def _check_exponents(*exponents: int) -> None:
-    if any(n < 1 for n in exponents):
-        raise ValueError("exponents must be positive")
 
 
 def _verify_symbolic(claim: str, primes, exponents, timings: dict[str, float],
@@ -128,7 +122,7 @@ def verify_sp2(p: PrimeWitness, q: PrimeWitness, m: int, n: int) -> Verification
     Failure produces a basis element of too-low order as a replayable
     witness.
     """
-    _check_exponents(m, n)
+    m, n = positive_int(m), positive_int(n)
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
     data = {"m": m, "n": n, "required_order": m + n}
@@ -143,15 +137,13 @@ def verify_multi(primes, exponents) -> VerificationReport:
     the radical of the summed primes to be the full coordinate ideal.
     """
     primes = list(primes)
-    exponents = [int(n) for n in exponents]
+    exponents = [positive_int(n) for n in exponents]
     if not primes:
         raise ValueError("at least one prime is required")
     if len(primes) != len(exponents):
         raise ValueError("one exponent per prime")
-    _check_exponents(*exponents)
     ring = primes[0].ring
-    if any(p.ring != ring for p in primes):
-        raise RingMismatchError("primes live in different rings")
+    ring.check(*primes)
     timings: dict[str, float] = {}
     heights = [ring.nvars - p.claimed_dim for p in primes]
     heights_ok = sum(heights) == ring.nvars
@@ -211,7 +203,7 @@ def verify_regular_case(p: PrimeWitness, q: PrimeWitness, m: int,
     maximal ideal."""
     if not p.is_coordinate_subspace:
         raise ValueError("p must be a coordinate-subspace prime")
-    _check_exponents(m, n)
+    m, n = positive_int(m), positive_int(n)
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
 
@@ -232,9 +224,8 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     polynomial ring; the radical and dimension-count conditions are
     reported alongside.
     """
-    _check_exponents(m, n)
-    if I.ring != J.ring:
-        raise RingMismatchError(f"{I.ring} vs {J.ring}")
+    m, n = positive_int(m), positive_int(n)
+    I.ring.check(J)
     nvars = I.ring.nvars
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", lambda: _hypotheses(
@@ -279,8 +270,7 @@ def monomial_curve_prime(ring: PolyRing, exponents) -> PrimeWitness:
     parameter; the standard source of primes whose symbolic powers
     outgrow the ordinary ones.
     """
-    exps = ring.exponents(exponents)
-    _check_exponents(*exps)
+    exps = tuple(map(positive_int, ring.exponents(exponents)))
     if math.gcd(*exps) != 1:
         raise ValueError(f"exponents {exps} must have gcd 1")
     big, t, lift = adjoin(ring, "t")

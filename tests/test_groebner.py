@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from oracles import monomial_divides, monomials_of_degree, naive_divmod
 from vanish import groebner
-from vanish.errors import TermCapExceededError
+from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, QQ
 from vanish.fixtures import curated_sp2_pairs
 from vanish.groebner import (
@@ -297,6 +297,19 @@ class TestPackedWidths:
         assert gb == [x - y**260, y**270 - 1]
         assert GroebnerBasis(r2, LEX, tuple(gb)).check_certificate()
 
+    def test_buchberger_widens_with_pairs_queued(self, r3, monkeypatch):
+        # y^200 fits the 8-bit fields; an S-pair passes them while eight
+        # pairs wait, so the reducer widens and the queue is re-keyed
+        x, y, z = r3.gens()
+        widths = []
+        repack = groebner._Divisors._repack
+        monkeypatch.setattr(groebner._Divisors, "_repack",
+                            lambda self, bound: widths.append(bound) or repack(self, bound))
+        gb = buchberger(r3, [x**2 - y**200, x * y**10 - z, y * z**3 - x, z**2 - y], LEX)
+        assert gb == [x - z**5, y - z**2, z**7 - z]
+        assert any(widths)      # a restart passes the old limit as its bound
+        assert GroebnerBasis(r3, LEX, tuple(gb)).check_certificate()
+
 
 @st.composite
 def s_pair_problems(draw):
@@ -414,7 +427,7 @@ class TestBuchberger:
             for m in (1, 2):
                 for n in (1, 2):
                     verify_sp2(p, q, m, n)
-        assert len(calls) == 1133
+        assert len(calls) == 939
 
     def test_monomial_inputs_form_no_s_polynomials(self, monkeypatch):
         # Monomial ideals take the closed forms (bases, intersections,
@@ -493,6 +506,29 @@ class TestGroebnerBasisObject:
         x, y = r2.gens()
         fake = GroebnerBasis(r2, GREVLEX, (x * y - 1, y**2 - 1))
         assert not fake.check_certificate()
+
+
+class TestRingAgreement:
+    # a polynomial of another ring is refused; division used to zip its
+    # exponent tuples with the ring's and return a wrong answer
+    def test_division_refuses_another_ring(self, r2, r3):
+        x, y = r2.gens()
+        X, Y, Z = r3.gens()
+        f, divisor = x * y + y, X * Z + Y
+        for divide in (lambda: normal_form(f, [divisor]),
+                       lambda: divmod_poly(f, [divisor]),
+                       lambda: GroebnerBasis(r3, GREVLEX, (divisor,)).reduce(f),
+                       lambda: Ideal(r3, [divisor]).normal_form(f)):
+            with pytest.raises(RingMismatchError):
+                divide()
+
+    def test_buchberger_refuses_another_ring(self, r2):
+        x, _ = r2.gens()
+        a, _ = PolyRing(QQ, ("a", "b")).gens()
+        with pytest.raises(RingMismatchError):
+            buchberger(r2, [x, a])
+        with pytest.raises(RingMismatchError):
+            buchberger(r2, [x**2 + x, a])
 
 
 class TestResourceGuard:

@@ -11,12 +11,18 @@ from hypothesis import given, settings
 
 from vanish.fields import GF, QQ
 from vanish.groebner import buchberger
-from vanish.orders import GREVLEX, LEX
+from vanish.orders import GREVLEX, LEX, elimination_order
 from vanish.poly import PolyRing
 
 sympy = pytest.importorskip("sympy")
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
+ALL_ORDERS = {**ORDERS, "elim1": elimination_order(1)}
+# elimination_order(1) as sympy spells it: grevlex on the first variable,
+# then grevlex on the rest
+SYMPY_ORDERS = {"elim1": sympy.polys.orderings.ProductOrder(
+    (sympy.polys.orderings.grevlex, lambda m: m[:1]),
+    (sympy.polys.orderings.grevlex, lambda m: m[1:]))}
 
 
 @st.composite
@@ -69,12 +75,24 @@ def test_monomial_bases_match_sympy(system, order, modulus):
     assert_matches_sympy(system, order, modulus)
 
 
+# x^2 - y^200, x*y^10 - z, y*z^3 - x, z^2 - y: y^200 fits the 8-bit fields,
+# and in LEX an S-pair passes them while eight pairs are queued
+WIDENING = (3, [{(2, 0, 0): 1, (0, 200, 0): -1}, {(1, 10, 0): 1, (0, 0, 1): -1},
+                {(0, 1, 3): 1, (1, 0, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -1}])
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+@pytest.mark.parametrize("order", sorted(ALL_ORDERS))
+def test_widening_with_pairs_queued_matches_sympy(order, modulus):
+    assert_matches_sympy(WIDENING, order, modulus)
+
+
 def assert_matches_sympy(system, order, modulus):
     nvars, gens = system
     ring = PolyRing(QQ if modulus is None else GF(modulus),
                     tuple(f"x{i}" for i in range(nvars)))
-    ours = buchberger(ring, [ring.from_terms(g) for g in gens], ORDERS[order])
+    ours = buchberger(ring, [ring.from_terms(g) for g in gens], ALL_ORDERS[order])
     ours = [g.terms for g in ours if not g.is_zero()]
-    theirs = sympy_basis(gens, nvars, order, modulus)
+    theirs = sympy_basis(gens, nvars, SYMPY_ORDERS.get(order, order), modulus)
     key = lambda terms: sorted(terms.items())  # noqa: E731
     assert sorted(ours, key=key) == sorted(theirs, key=key)

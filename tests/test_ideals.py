@@ -362,6 +362,29 @@ class TestElimination:
             curve.eliminate(["x", "y", "z"])
 
 
+@st.composite
+def elimination_problems(draw):
+    """Two or three sparse generators in w, x, y, z over QQ or GF(32003),
+    and the variables to eliminate, a prefix of them or not."""
+    ring = PolyRing(draw(st.sampled_from([QQ, GF(32003)])), ("w", "x", "y", "z"))
+    monomial = st.tuples(*[st.integers(0, 2)] * 4)
+    terms = st.dictionaries(monomial, st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=3)
+    gens = [ring.from_terms(t) for t in draw(st.lists(terms, min_size=2, max_size=3))]
+    names = draw(st.sampled_from([["w"], ["w", "x"], ["x"], ["x", "z"], ["y", "w"]]))
+    return Ideal(ring, gens), names
+
+
+@settings(max_examples=40, deadline=None)
+@given(elimination_problems())
+def test_eliminate_hands_over_its_reduced_basis(problem):
+    # the t-free elements of the reduced block basis, in order, are the
+    # reduced grevlex basis of the elimination ideal
+    ideal, names = problem
+    sub = ideal.eliminate(names)
+    assert list(sub.groebner_basis().polys) == ideals.buchberger(sub.ring, sub.gens, GREVLEX)
+
+
 class TestCoordinatePrime:
     def test_construction(self, r3):
         p = coordinate_prime(r3, ["x", "z"])

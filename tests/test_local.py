@@ -264,10 +264,19 @@ class TestPrimeWitness:
             PrimeWitness(ideal, weights=(3, 4))
         with pytest.raises(ValueError):
             PrimeWitness(ideal, weights=(3, 0, 5))
+        with pytest.raises(ValueError):     # used to truncate to (1, 2, 3)
+            PrimeWitness(ideal, weights=(1.5, 2.2, 3.9))
+
+    def test_witness_from_another_ring(self, r2, r3):
+        x, y, _ = r3.gens()
+        with pytest.raises(WitnessError):
+            PrimeWitness(Ideal(r3, [x, y]), witness=r2.gens()[0])
 
     def test_probe_elements_avoid_prime(self, r3, curve345):
+        # the saturation's last colon is by the witness, so it is no probe
         probes = curve345.probe_elements()
-        assert probes
+        assert probes == [r3.variable("y"), r3.variable("z")]
+        assert curve345.witness == r3.variable("x")
         for u in probes:
             assert u not in curve345.ideal
 
@@ -338,6 +347,8 @@ class TestSymbolicPower:
     def test_bad_exponent(self, r3, curve345):
         with pytest.raises(ValueError):
             symbolic_power(curve345, 0)
+        with pytest.raises(ValueError):
+            symbolic_power(curve345, 1.5)
 
     def test_fake_prime_fails_certification(self, r3):
         x, y, z = r3.gens()
@@ -385,3 +396,7 @@ class TestOrdAlong:
         p = PrimeWitness(coordinate_prime(r3, ["x"]))
         with pytest.raises(OrdSearchCapError):
             ord_along(p, x**5, max_order=4)
+        with pytest.raises(ValueError):     # was an OrdSearchCapError
+            ord_along(p, y, max_order=0)
+        with pytest.raises(ValueError):
+            ord_along(p, y, max_order=1.5)

@@ -41,3 +41,27 @@ def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
               "from math import gcd, lcm\n\ndef f(x: 'Fraction') -> \"gcd\":\n    return os\n")
     assert unused_imports(source) == ["regex", "lcm"]
+
+
+def raised_names(source: str) -> list[str]:
+    """The name of each class a module raises, as in ``raise Name(...)``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.append(exc.id)
+    return names
+
+
+def test_ring_mismatch_is_raised_in_poly_only():
+    # PolyRing.check is the one ring-agreement check; substitute's field
+    # check is the other raise
+    raises = {p.name: raised_names(p.read_text()).count("RingMismatchError")
+              for p in MODULES}
+    assert {name: n for name, n in raises.items() if n} == {"poly.py": 2}
+
+
+def test_raised_names_are_found():
+    source = "def f(x):\n    if x:\n        raise KeyError(x)\n    raise StopIteration\n"
+    assert sorted(raised_names(source)) == ["KeyError", "StopIteration"]

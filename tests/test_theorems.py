@@ -101,6 +101,10 @@ class TestSp2:
         p, q = transverse_split_pair(2, 1)
         with pytest.raises(ValueError):
             verify_sp2(p, q, 0, 1)
+        with pytest.raises(ValueError):     # was a TypeError from Ideal.__pow__
+            verify_sp2(p, q, 1.5, 1)
+        with pytest.raises(ValueError):
+            verify_regular_case(p, q, 1, 1.5)
 
     def test_timings_collected(self):
         p, q = transverse_split_pair(2, 1)
@@ -153,6 +157,9 @@ class TestMulti:
             verify_multi([p], [1, 2])
         with pytest.raises(ValueError):
             verify_multi([p], [0])
+        q = PrimeWitness(coordinate_prime(r3, ["y", "z"]))
+        with pytest.raises(ValueError):     # used to run as [1, 1] and hold
+            verify_multi([p, q], [1.7, 1.2])
         with pytest.raises(RingMismatchError):
             verify_multi([p, PrimeWitness(coordinate_prime(r2, ["x"]))],
                          [1, 1])
@@ -224,6 +231,8 @@ class TestCiProduct:
         x, y = r2.gens()
         with pytest.raises(ValueError):
             verify_ci_product(Ideal(r2, [x]), Ideal(r2, [y]), 0, 1)
+        with pytest.raises(ValueError):
+            verify_ci_product(Ideal(r2, [x]), Ideal(r2, [y]), 1, "2")
         with pytest.raises(RingMismatchError):
             verify_ci_product(Ideal(r2, [x]), Ideal(r3, []), 1, 1)
 
