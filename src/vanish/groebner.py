@@ -220,14 +220,17 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     a pair when a third basis element divides its lcm and both side pairs
     are already handled.
     """
-    G = [g.monic(order) for g in gens if not g.is_zero()]
+    G = [g for g in gens if not g.is_zero()]
     ring.check(*G)
+    if all(g.is_monomial() for g in G):
+        # a monomial ideal's reduced basis is its minimal generators
+        exps = minimal_exponents(e for g in G for e in g.terms)
+        return [Polynomial(ring, {e: ring.field.one()})
+                for e in sorted(exps, key=order.key, reverse=True)]
+    G = [g.monic(order) for g in G]
     if any(g.is_constant() for g in G):
         return [ring.one()]
     lead = [g.leading_exps(order) for g in G]
-    if all(g.is_monomial() for g in G):
-        # a monomial ideal's reduced basis is its minimal generators
-        return _minimalize(G, lead, order)[::-1]
     divisors = _Divisors(ring, order, G)
     packing = divisors.packing      # the packing the queue is keyed at
     queue = []      # heap of (K(lcm), (i, j), E(lcm))

@@ -97,7 +97,9 @@ class Ideal:
         return self.groebner_basis(order).reduce(f)
 
     def __contains__(self, f) -> bool:
-        if not isinstance(f, Polynomial):
+        if isinstance(f, int):
+            f = self.ring.constant(f)
+        elif not isinstance(f, Polynomial):
             return False
         return self.groebner_basis().contains(f)
 

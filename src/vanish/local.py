@@ -73,8 +73,9 @@ def _upoly_shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
 def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of the Hilbert series of R/(monomials) over (1-t)^d.
 
-    Pivot recursion: splitting along a variable x gives
-    N(I) = N(I + (x)) + t * N(I : x).
+    ``exps``, the cache key, is an antichain in (degree, exps) order.  A
+    pivot x gives N(I) = N(I + (x)) + t * N(I : x); I + (x) is x and the
+    generators x does not divide, and only I : x is re-minimalized.
     """
     if not exps:
         return (1,)
@@ -94,15 +95,11 @@ def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         for i in sup:
             counts[i] = counts.get(i, 0) + 1
     pivot = min(i for i, c in counts.items() if c == max(counts.values()))
-    nvars = len(exps[0])
-    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = minimal_exponents(exps + (unit,))
+    unit = tuple(1 if i == pivot else 0 for i in range(len(exps[0])))
+    plus = tuple(sorted([e for e in exps if not e[pivot]] + [unit],
+                        key=lambda e: (sum(e), e)))
     quot = minimal_exponents(
-        tuple(
-            tuple(v - 1 if i == pivot and v else v for i, v in enumerate(e))
-            for e in exps
-        )
-    )
+        e[:pivot] + (max(e[pivot] - 1, 0),) + e[pivot + 1:] for e in exps)
     return _upoly_add(_hilbert_numerator(plus),
                       _upoly_shift(_hilbert_numerator(quot), 1))
 
@@ -366,12 +363,15 @@ def local_length_at_monomial_prime(ideal: Ideal, prime_vars) -> int:
     localization into a standard-monomial count.  Finiteness requires the
     prime to be minimal over the ideal; anything else is rejected.
     """
-    ring = ideal.ring
     names = list(prime_vars)
     if len(set(names)) != len(names):
         raise ValueError("repeated variable in the prime")
-    idxs = sorted(ring.index(n) for n in names)
-    exps = ideal.monomial_exponents()
+    idxs = sorted(ideal.ring.index(n) for n in names)
+    return _local_length(ideal.monomial_exponents(), idxs)
+
+
+def _local_length(exps, idxs) -> int:
+    """Count of standard monomials of ``exps`` once the variables off ``idxs`` are 1."""
     if not idxs:
         if exps:
             raise ValueError("only the zero ideal localizes at the zero prime")
@@ -397,10 +397,10 @@ def local_length_at_monomial_prime(ideal: Ideal, prime_vars) -> int:
 def associativity_check(ideal: Ideal) -> VerificationReport:
     """Multiplicity against the sum of local lengths at top primes.
 
-    Both sides are computed by unrelated code paths: the left through the
-    Hilbert-series recursion, the right by enumerating the coordinate
-    minimal primes of maximal dimension and counting standard monomials
-    in each localization.
+    Both sides read the one antichain of minimal generators and share
+    nothing else: the left comes from the Hilbert-series recursion, the
+    right from enumerating the coordinate minimal primes of maximal
+    dimension and counting standard monomials in each localization.
     """
     if ideal.is_unit():
         raise UnitIdealError("additivity check needs a proper ideal")
@@ -412,7 +412,7 @@ def associativity_check(ideal: Ideal) -> VerificationReport:
     rhs = 0
     for s in sorted(indep_sets, key=sorted):
         prime_vars = [v for i, v in enumerate(ring.variables) if i not in s]
-        length = local_length_at_monomial_prime(ideal, prime_vars)
+        length = _local_length(exps, sorted(set(range(ring.nvars)) - s))
         # R/p is a polynomial ring in the variables outside p
         rhs += length
         terms.append({

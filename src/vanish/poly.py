@@ -401,7 +401,7 @@ def positive_int(n, what: str = "exponent") -> int:
 
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(y - x for x, y in zip(a, b))
@@ -411,9 +411,14 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal tuples of ``exps``, once each, ordered by
-    (degree, exps): the minimal generators of the monomial ideal."""
+    (degree, exps): the minimal generators of the monomial ideal.  In that
+    order a divisor precedes its multiples, so each tuple is checked only
+    against the kept ones, and the check stops at the first divisor."""
     keep: list[tuple[int, ...]] = []
     for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(k, e) for k in keep):
+        for k in keep:
+            if all(map(operator.le, k, e)):
+                break
+        else:
             keep.append(e)
     return tuple(keep)

@@ -58,6 +58,15 @@ def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def minimal_by_pairs(exps) -> list[tuple[int, ...]]:
+    """The distinct tuples that no other distinct tuple divides, every pair
+    compared, sorted by degree and then by tuple."""
+    distinct = set(exps)
+    keep = [e for e in distinct
+            if not any(f != e and monomial_divides(f, e) for f in distinct)]
+    return sorted(keep, key=lambda e: (sum(e), e))
+
+
 def membership_by_divisibility(exps: tuple[int, ...],
                                gen_exps: list[tuple[int, ...]]) -> bool:
     """Monomial-ideal membership: some generator divides the monomial."""
@@ -191,6 +200,26 @@ def multiplicity_by_differences(lt_gens: list[tuple[int, ...]], nvars: int,
         raise AssertionError(
             f"difference column not stable: {diffs}; raise up_to_degree")
     return tail[-1]
+
+
+def numerator_by_counting(lt_gens: list[tuple[int, ...]], nvars: int,
+                          dimension: int) -> tuple[int, ...]:
+    """h(t) with sum_d H(d) t^d = h(t)/(1-t)^dimension, trailing zeros
+    stripped: the Hilbert function times (1-t)^dimension, truncated.
+
+    h has degree at most that of the lcm of the generators (the
+    inclusion-exclusion numerator does), so counting one degree past it
+    shows the truncation is exact.
+    """
+    top = sum(max(col) for col in zip(*lt_gens)) if lt_gens else 0
+    coeffs = hilbert_function_values(lt_gens, nvars, top + 1)
+    for _ in range(dimension):
+        coeffs = [c - (coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)]
+    if coeffs[-1]:
+        raise AssertionError(f"numerator past degree {top}: {coeffs}")
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from vanish.orders import (
     Packing,
     elimination_order,
 )
-from vanish.poly import PolyRing, monomial_lcm
+from vanish.poly import PolyRing, Polynomial, monomial_lcm
 from vanish.theorems import verify_sp2
 
 GF_PRIME = 32003
@@ -213,6 +213,33 @@ class TestReductionWork:
         divisors = groebner._Divisors(ring, GREVLEX, minimal)
         assert groebner._interreduce(minimal, divisors) == reduced
         assert len(calls) == len(reduced)
+
+    @pytest.mark.parametrize("field", ["QQ", "GF"])
+    @pytest.mark.parametrize("order, expected", [
+        (GREVLEX, "z^4 x^2*y x*y^2 y^3"),
+        (LEX, "x^2*y x*y^2 y^3 z^4"),
+        (elimination_order(1), "x^2*y x*y^2 z^4 y^3"),
+    ], ids=["grevlex", "lex", "elim1"])
+    def test_monomial_basis_makes_nothing_monic(self, monkeypatch, field, order,
+                                                expected):
+        # A monomial ideal's reduced basis is read off the generators'
+        # exponents: no generator is scaled, whatever its coefficient.
+        ring = PolyRing(QQ if field == "QQ" else GF(GF_PRIME), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        gens = [3*x**2*y, -2*x*y**2, x**3*y, 5*y**3, x**2*y, 4*x*y**2*z, 2*z**4]
+        calls = []
+        monic = Polynomial.monic
+
+        def counting(self, *args):
+            calls.append(self)
+            return monic(self, *args)
+
+        monkeypatch.setattr(Polynomial, "monic", counting)
+        basis = buchberger(ring, gens, order)
+        assert as_strs(basis) == expected.split()
+        assert all(g.leading_coefficient(order) == 1 for g in basis)
+        assert buchberger(ring, [3*x, ring.zero(), -2*ring.one()], order) == [ring.one()]
+        assert calls == []
 
 
 class TestPackedWidths:

@@ -94,6 +94,17 @@ class TestMembership:
 
     def test_non_polynomial_not_member(self, r2):
         assert "x" not in Ideal(r2, [r2.gens()[0]])
+        assert 0.0 not in Ideal(r2, [r2.gens()[0]])
+        assert Fraction(0) not in Ideal(r2, [r2.gens()[0]])
+
+    def test_ints_are_constants(self, r2, gf7):
+        x, _ = r2.gens()
+        assert 0 in Ideal(r2, [x])
+        assert 1 not in Ideal(r2, [x])
+        assert 1 in Ideal(r2, [r2.one()])
+        assert -3 in Ideal(r2, [x + 1, x])
+        assert 7 in Ideal(gf7, [gf7.gens()[0]])     # 7 is 0 in GF(7)
+        assert 8 not in Ideal(gf7, [gf7.gens()[0]])
 
 
 class TestEquality:

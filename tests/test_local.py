@@ -4,9 +4,16 @@ orders of vanishing."""
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from oracles import monomial_dimension, multiplicity_by_differences
+from oracles import (
+    monomial_dimension,
+    monomials_of_degree,
+    multiplicity_by_differences,
+    numerator_by_counting,
+)
 from vanish.errors import (
     OrdSearchCapError,
     UncertifiedSymbolicPowerError,
@@ -92,6 +99,37 @@ class TestHilbertSeries:
     def test_bad_exponent_tuples_rejected(self, r2, exps):
         with pytest.raises(ValueError, match="bad exponent tuple"):
             hilbert_series(exps, r2)
+
+
+@st.composite
+def monomial_generators(draw):
+    """(nvars, exponent tuples): 1-5 variables, generators of degree 1-4,
+    with repeated generators and multiples of generators mixed in."""
+    nvars = draw(st.integers(1, 5))
+    monos = [e for d in range(1, 5) for e in monomials_of_degree(nvars, d)]
+    gens = draw(st.lists(st.sampled_from(monos), max_size=5))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []:
+        i = draw(st.integers(0, nvars - 1))
+        gens.append(g[:i] + (g[i] + 1,) + g[i + 1:] if sum(g) < 4 else g)
+        gens.append(g)
+    return nvars, draw(st.permutations(gens))
+
+
+class TestHilbertSeriesDifferential:
+    # The pivot recursion against standard-monomial counting, in more
+    # variables and with more generators than the benchmark's ideals.
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_generators())
+    def test_matches_counting_oracles(self, case):
+        nvars, gens = case
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(nvars)))
+        data = hilbert_series(gens, ring)
+        dim = monomial_dimension(gens, nvars)
+        top = sum(max(col) for col in zip(*gens)) if gens else 0
+        assert data.dimension == dim
+        assert data.numerator == numerator_by_counting(gens, nvars, dim)
+        assert data.multiplicity == multiplicity_by_differences(
+            gens, nvars, dim, up_to_degree=top + nvars + 2)
 
 
 def all_monomials_up_to(nvars, maxdeg):
@@ -211,6 +249,25 @@ class TestAssociativity:
             for term in associativity_check(Ideal(r3, gens)).data["terms"]:
                 prime = coordinate_prime(r3, term["prime"])
                 assert term["quotient_multiplicity"] == multiplicity_graded(prime)
+
+    @pytest.mark.parametrize("exps, top_primes", [
+        ([(2, 1, 0), (1, 0, 2)], 1),     # x^2*y, x*z^2
+        ([(1, 1, 1)], 3),                # x*y*z
+    ], ids=["x2y-xz2", "xyz"])
+    def test_generators_read_once(self, r3, monkeypatch, exps, top_primes):
+        # both sides work from one read of the minimal generators
+        calls = []
+        read = Ideal.monomial_exponents
+
+        def counting(self):
+            calls.append(self)
+            return read(self)
+
+        monkeypatch.setattr(Ideal, "monomial_exponents", counting)
+        rep = associativity_check(Ideal(r3, [r3.monomial(e) for e in exps]))
+        assert rep.holds
+        assert len(rep.data["terms"]) == top_primes
+        assert len(calls) == 1
 
     def test_claim_label(self, r3):
         x, _, _ = r3.gens()

@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from oracles import schoolbook_mul
+from oracles import minimal_by_pairs, schoolbook_mul
 from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
 from vanish.orders import GREVLEX, LEX, elimination_order
-from vanish.poly import PolyRing, Polynomial
+from vanish.poly import PolyRing, Polynomial, minimal_exponents
 
 
 class TestCoefficientField:
@@ -318,3 +320,23 @@ class TestTermCap:
     def test_cap_restored(self, r2):
         x, y = r2.gens()
         assert len(((x + y) ** 8).terms) == 9
+
+
+# lists of exponent tuples in 1-5 variables, the zero tuple included
+exponent_lists = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=10))
+
+
+class TestMinimalExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_lists, st.data())
+    def test_matches_all_pairs_oracle(self, exps, data):
+        # repeats, and a multiple of each tuple that was drawn, are dropped
+        extra = [tuple(v + 1 for v in e) for e in exps]
+        shuffled = data.draw(st.permutations(exps + exps + extra))
+        assert minimal_exponents(shuffled) == tuple(minimal_by_pairs(exps))
+        assert minimal_exponents(iter(shuffled)) == minimal_exponents(exps)
+
+    def test_degree_then_tuple_order(self):
+        exps = [(0, 2, 0), (1, 1, 0), (3, 0, 0), (0, 0, 1), (2, 0, 1), (1, 1, 0)]
+        assert minimal_exponents(exps) == ((0, 0, 1), (0, 2, 0), (1, 1, 0), (3, 0, 0))
