@@ -321,10 +321,14 @@ def _cmd_assoc_check(args) -> int:
     return _emit_reports([report], args, {"command": "assoc-check"})
 
 
+# the verify modes that take two named ideals and -m, -n
+_PAIR_VERIFIERS = {"sp1": verify_sp2, "sp2": verify_sp2,
+                   "regular": verify_regular_case, "ci": verify_ci_product}
+
+
 def _verify_single(args) -> list[VerificationReport]:
     if args.file is None:
-        raise ParseError(
-            "verify needs --fixtures or an ideal file with -f")
+        raise ParseError("verify needs --fixtures or an ideal file with -f")
     f = IdealFile.load(args.file)
     mode = args.mode
     m, n = (1 if v is None else v for v in (args.m, args.n))
@@ -339,28 +343,21 @@ def _verify_single(args) -> list[VerificationReport]:
         except ValueError:
             raise ParseError("--exponents must be comma-separated "
                              "integers") from None
-        primes = [f.prime_witness(name) for name in names]
-        rep = verify_multi(primes, exps)
+        rep = verify_multi([f.prime_witness(name) for name in names], exps)
         rep.case_id = "+".join(names)
         return [rep]
     if not args.ideal or not args.other:
         raise ParseError(f"{mode} mode needs -i and -j ideal names")
-    case_id = f"{args.ideal}-vs-{args.other}"
-    if mode == "ci":
-        rep = verify_ci_product(f.ideal(args.ideal), f.ideal(args.other), m, n)
-    elif mode == "affine":
+    # ci compares ideals; every other claim reads declared primes
+    load = f.ideal if mode == "ci" else f.prime_witness
+    if mode == "affine":
         if not args.poly:
             raise ParseError("affine mode needs --poly")
         poly = parse_polynomial(args.poly, f.ring)
-        rep = affine_vanishing_report(poly, f.prime_witness(args.ideal),
-                                      f.prime_witness(args.other))
-    elif mode == "regular":
-        rep = verify_regular_case(f.prime_witness(args.ideal),
-                                  f.prime_witness(args.other), m, n)
+        rep = affine_vanishing_report(poly, load(args.ideal), load(args.other))
     else:
-        rep = verify_sp2(f.prime_witness(args.ideal), f.prime_witness(args.other),
-                         m, n)
-    rep.case_id = case_id
+        rep = _PAIR_VERIFIERS[mode](load(args.ideal), load(args.other), m, n)
+    rep.case_id = f"{args.ideal}-vs-{args.other}"
     return [rep]
 
 

@@ -28,6 +28,10 @@ def ring_q(*names: str) -> PolyRing:
     return PolyRing(QQ, names)
 
 
+def _coordinate(ring: PolyRing, *names: str) -> PrimeWitness:
+    return PrimeWitness(coordinate_prime(ring, names))
+
+
 def crossing_lines_pair() -> tuple[PrimeWitness, PrimeWitness]:
     """Two coordinate lines through the origin sharing a plane.
 
@@ -35,9 +39,7 @@ def crossing_lines_pair() -> tuple[PrimeWitness, PrimeWitness]:
     containment conclusion fails and the shared coordinate witnesses it.
     """
     ring = ring_q("X1", "X2", "X3")
-    p = PrimeWitness(coordinate_prime(ring, ["X1", "X2"]))
-    q = PrimeWitness(coordinate_prime(ring, ["X2", "X3"]))
-    return p, q
+    return _coordinate(ring, "X1", "X2"), _coordinate(ring, "X2", "X3")
 
 
 def transverse_split_pair(d: int, i: int) -> tuple[PrimeWitness, PrimeWitness]:
@@ -45,9 +47,8 @@ def transverse_split_pair(d: int, i: int) -> tuple[PrimeWitness, PrimeWitness]:
     if not 1 <= i < d:
         raise ValueError(f"split index {i} out of range for d={d}")
     ring = ring_q(*(f"X{k}" for k in range(1, d + 1)))
-    p = PrimeWitness(coordinate_prime(ring, ring.variables[:i]))
-    q = PrimeWitness(coordinate_prime(ring, ring.variables[i:]))
-    return p, q
+    return (_coordinate(ring, *ring.variables[:i]),
+            _coordinate(ring, *ring.variables[i:]))
 
 
 def curve_345(ring: PolyRing | None = None) -> PrimeWitness:
@@ -64,34 +65,27 @@ def curated_sp2_pairs() -> list[tuple[str, PrimeWitness, PrimeWitness]]:
     principal x coordinate pairs; every pair has maximal radical sum and
     dimensions adding up to the ring dimension.
     """
-    pairs: list[tuple[str, PrimeWitness, PrimeWitness]] = []
-
     r2 = ring_q("x", "y")
-    pairs.append(("plane/x-axis-vs-y-axis",
-                  PrimeWitness(coordinate_prime(r2, ["x"])),
-                  PrimeWitness(coordinate_prime(r2, ["y"]))))
+    pairs = [("plane/x-axis-vs-y-axis", _coordinate(r2, "x"),
+              _coordinate(r2, "y"))]
 
     r3 = ring_q("x", "y", "z")
-    coord = {name: PrimeWitness(coordinate_prime(r3, [name]))
-             for name in r3.variables}
-    pairs.append(("space/z-axis-vs-xy-plane",
-                  PrimeWitness(coordinate_prime(r3, ["x", "y"])), coord["z"]))
-    pairs.append(("space/yz-plane-vs-x-axis",
-                  coord["x"],
-                  PrimeWitness(coordinate_prime(r3, ["y", "z"]))))
-    pairs.append(("space/y-axis-vs-xz-plane",
-                  PrimeWitness(coordinate_prime(r3, ["x", "z"])), coord["y"]))
+    coord = {name: _coordinate(r3, name) for name in r3.variables}
+    pairs += [
+        ("space/z-axis-vs-xy-plane", _coordinate(r3, "x", "y"), coord["z"]),
+        ("space/yz-plane-vs-x-axis", coord["x"], _coordinate(r3, "y", "z")),
+        ("space/y-axis-vs-xz-plane", _coordinate(r3, "x", "z"), coord["y"]),
+    ]
 
     r4 = ring_q("x1", "x2", "x3", "x4")
-    pairs.append(("4space/plane-vs-plane",
-                  PrimeWitness(coordinate_prime(r4, ["x1", "x2"])),
-                  PrimeWitness(coordinate_prime(r4, ["x3", "x4"]))))
-    pairs.append(("4space/hyperplane-vs-line",
-                  PrimeWitness(coordinate_prime(r4, ["x1"])),
-                  PrimeWitness(coordinate_prime(r4, ["x2", "x3", "x4"]))))
-    pairs.append(("4space/line-vs-hyperplane",
-                  PrimeWitness(coordinate_prime(r4, ["x1", "x2", "x3"])),
-                  PrimeWitness(coordinate_prime(r4, ["x4"]))))
+    pairs += [
+        ("4space/plane-vs-plane",
+         _coordinate(r4, "x1", "x2"), _coordinate(r4, "x3", "x4")),
+        ("4space/hyperplane-vs-line",
+         _coordinate(r4, "x1"), _coordinate(r4, "x2", "x3", "x4")),
+        ("4space/line-vs-hyperplane",
+         _coordinate(r4, "x1", "x2", "x3"), _coordinate(r4, "x4")),
+    ]
 
     c345 = curve_345(r3)
     for name in r3.variables:
@@ -100,15 +94,15 @@ def curated_sp2_pairs() -> list[tuple[str, PrimeWitness, PrimeWitness]]:
     pairs.append(("curve-123-vs-x-plane", c123, coord["x"]))
 
     x, y, z = r3.gens()
-    pairs.append(("hyperplane-vs-z-axis",
-                  PrimeWitness(Ideal(r3, [x + y + z])),
-                  PrimeWitness(coordinate_prime(r3, ["x", "y"]))))
-    pairs.append(("quadric-cone-vs-y-axis",
-                  PrimeWitness(Ideal(r3, [y**2 - x*z])),
-                  PrimeWitness(coordinate_prime(r3, ["x", "z"]))))
-    pairs.append(("sphere-cone-vs-z-axis",
-                  PrimeWitness(Ideal(r3, [x**2 + y**2 + z**2])),
-                  PrimeWitness(coordinate_prime(r3, ["x", "y"]))))
+    pairs += [
+        ("hyperplane-vs-z-axis", PrimeWitness(Ideal(r3, [x + y + z])),
+         _coordinate(r3, "x", "y")),
+        ("quadric-cone-vs-y-axis", PrimeWitness(Ideal(r3, [y**2 - x*z])),
+         _coordinate(r3, "x", "z")),
+        ("sphere-cone-vs-z-axis",
+         PrimeWitness(Ideal(r3, [x**2 + y**2 + z**2])),
+         _coordinate(r3, "x", "y")),
+    ]
     return pairs
 
 
@@ -132,40 +126,33 @@ def ci_example_pairs() -> list[tuple[str, Ideal, Ideal]]:
 # CLI fixture suites
 # ---------------------------------------------------------------------------
 
-def _exp_range(max_exp: int):
-    return range(1, max_exp + 1)
-
-
 def fixture_reports(mode: str, max_exp: int = 3) -> list[VerificationReport]:
     """The bundled verification suite for one CLI mode.
 
-    Reports come back in deterministic case order; the caller only needs
-    to format them.
+    Each suite is a list of rows ``(case_id, verifier, *args)``; the
+    reports come back in row order, so the caller only needs to format
+    them.  ``max_exp`` bounds the exponent sweep of sp1 and sp2.
     """
-    builders = {
-        "sp2": lambda k: _sp_fixtures(k, _exp_range(k), 2, "m{m}-n{n}"),
-        "sp1": lambda k: _sp_fixtures(k, (1,), 1, "m{m}"),
+    suites = {
+        "sp2": lambda: _sp_fixtures(max_exp, range(1, max_exp + 1), 2,
+                                    "m{m}-n{n}"),
+        "sp1": lambda: _sp_fixtures(max_exp, (1,), 1, "m{m}"),
         "multi": _multi_fixtures,
         "regular": _regular_fixtures,
         "ci": _ci_fixtures,
         "affine": _affine_fixtures,
     }
-    if mode not in builders:
+    if mode not in suites:
         raise ValueError(f"unknown verify mode {mode!r}")
-    reports = builders[mode](max_exp)
-    for rep in reports:
-        if rep.case_id is None:
-            raise AssertionError("fixture report missing a case id")
+    reports = []
+    for case_id, verifier, *args in suites[mode]():
+        rep = verifier(*args)
+        rep.case_id = case_id
+        reports.append(rep)
     return reports
 
 
-def _tag(rep: VerificationReport, case_id: str) -> VerificationReport:
-    rep.case_id = case_id
-    return rep
-
-
-def _sp_fixtures(max_exp: int, n_range, curve_n: int,
-                 suffix: str) -> list[VerificationReport]:
+def _sp_fixtures(max_exp: int, n_range, curve_n: int, suffix: str) -> list:
     """The sp2 suite, or its n = 1 slice (sp1); ``suffix`` formats m and n
     into the end of each case id."""
     cases = [("crossing-lines", crossing_lines_pair(), 1, 1)]
@@ -173,66 +160,61 @@ def _sp_fixtures(max_exp: int, n_range, curve_n: int,
         for i in range(1, d):
             pair = transverse_split_pair(d, i)
             cases += [(f"split/d{d}-i{i}", pair, m, n)
-                      for m in _exp_range(max_exp) for n in n_range]
+                      for m in range(1, max_exp + 1) for n in n_range]
     curve = curve_345()
-    plane = PrimeWitness(coordinate_prime(curve.ring, ["z"]))
+    plane = _coordinate(curve.ring, "z")
     cases.append(("curve-345-vs-z-plane", (curve, plane), 2, curve_n))
-    return [_tag(verify_sp2(*pair, m, n), f"{name}/" + suffix.format(m=m, n=n))
+    return [(f"{name}/" + suffix.format(m=m, n=n), verify_sp2, *pair, m, n)
             for name, pair, m, n in cases]
 
 
-def _multi_fixtures(max_exp: int) -> list[VerificationReport]:
+def _multi_fixtures() -> list:
     ring = ring_q("X1", "X2", "X3")
-    axes = [PrimeWitness(coordinate_prime(ring, [v])) for v in ring.variables]
-    reports = [_tag(verify_multi(axes, [1, 1, 1]), "three-planes/n111")]
-    sp, sq = transverse_split_pair(3, 1)
-    reports.append(_tag(verify_multi([sp, sq], [2, 2]), "split-pair/n22"))
-    p4, q4 = transverse_split_pair(4, 2)
-    reports.append(_tag(verify_multi([p4, q4], [2, 1]), "4space-pair/n21"))
-    return reports
+    axes = [_coordinate(ring, v) for v in ring.variables]
+    return [
+        ("three-planes/n111", verify_multi, axes, [1, 1, 1]),
+        ("split-pair/n22", verify_multi, transverse_split_pair(3, 1), [2, 2]),
+        ("4space-pair/n21", verify_multi, transverse_split_pair(4, 2), [2, 1]),
+    ]
 
 
-def _regular_fixtures(max_exp: int) -> list[VerificationReport]:
+def _regular_fixtures() -> list:
     r3 = ring_q("x", "y", "z")
     x, y, z = r3.gens()
-    pxy = PrimeWitness(coordinate_prime(r3, ["x", "y"]))
-    px = PrimeWitness(coordinate_prime(r3, ["x"]))
-    pz = PrimeWitness(coordinate_prime(r3, ["z"]))
-    pyz = PrimeWitness(coordinate_prime(r3, ["y", "z"]))
+    pxy = _coordinate(r3, "x", "y")
     conic = PrimeWitness(Ideal(r3, [z**2 + x*y]))
     return [
-        _tag(verify_regular_case(pxy, pz, 2, 1), "xy-plane-prime-vs-z/m2-n1"),
-        _tag(verify_regular_case(px, pyz, 2, 2), "x-prime-vs-yz/m2-n2"),
-        _tag(verify_regular_case(pxy, conic, 2, 1), "xy-prime-vs-conic/m2-n1"),
+        ("xy-plane-prime-vs-z/m2-n1", verify_regular_case,
+         pxy, _coordinate(r3, "z"), 2, 1),
+        ("x-prime-vs-yz/m2-n2", verify_regular_case,
+         _coordinate(r3, "x"), _coordinate(r3, "y", "z"), 2, 2),
+        ("xy-prime-vs-conic/m2-n1", verify_regular_case, pxy, conic, 2, 1),
     ]
 
 
-def _ci_fixtures(max_exp: int) -> list[VerificationReport]:
+def _ci_fixtures() -> list:
     r3 = ring_q("x", "y", "z")
     x, y, z = r3.gens()
     return [
-        _tag(verify_ci_product(Ideal(r3, [x]), Ideal(r3, [y, z]), 2, 1),
-             "line-vs-plane/m2-n1"),
-        _tag(verify_ci_product(Ideal(r3, [x, y]), Ideal(r3, [z]), 2, 2),
-             "plane-vs-line/m2-n2"),
-        _tag(verify_ci_product(Ideal(r3, [x + z**2, y]), Ideal(r3, [z]), 2, 3),
-             "parabola-pair-vs-plane/m2-n3"),
+        ("line-vs-plane/m2-n1", verify_ci_product,
+         Ideal(r3, [x]), Ideal(r3, [y, z]), 2, 1),
+        ("plane-vs-line/m2-n2", verify_ci_product,
+         Ideal(r3, [x, y]), Ideal(r3, [z]), 2, 2),
+        ("parabola-pair-vs-plane/m2-n3", verify_ci_product,
+         Ideal(r3, [x + z**2, y]), Ideal(r3, [z]), 2, 3),
     ]
 
 
-def _affine_fixtures(max_exp: int) -> list[VerificationReport]:
-    ring = ring_q("X1", "X2", "X3")
-    X1, X2, X3 = ring.gens()
-    p12 = PrimeWitness(coordinate_prime(ring, ["X1", "X2"]))
-    p23 = PrimeWitness(coordinate_prime(ring, ["X2", "X3"]))
-    p3 = PrimeWitness(coordinate_prime(ring, ["X3"]))
-    reports = [
-        _tag(affine_vanishing_report(X1 * X3, p12, p3), "coordinate-product"),
-        _tag(affine_vanishing_report(X2, p12, p23), "crossing-lines-vacuous"),
-    ]
+def _affine_fixtures() -> list:
+    p12, p23 = crossing_lines_pair()
+    X1, X2, X3 = p12.ring.gens()
+    p3 = _coordinate(p12.ring, "X3")
     curve = curve_345()
     x, y, z = curve.ring.gens()
-    pz = PrimeWitness(coordinate_prime(curve.ring, ["z"]))
-    reports.append(_tag(affine_vanishing_report(z * (y**2 - x*z), curve, pz),
-                        "curve-345-times-plane"))
-    return reports
+    pz = _coordinate(curve.ring, "z")
+    return [
+        ("coordinate-product", affine_vanishing_report, X1 * X3, p12, p3),
+        ("crossing-lines-vacuous", affine_vanishing_report, X2, p12, p23),
+        ("curve-345-times-plane", affine_vanishing_report,
+         z * (y**2 - x*z), curve, pz),
+    ]

@@ -10,6 +10,7 @@ membership); everything else reduces to Groebner bases.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 
 from .errors import UnitIdealError, ZeroDivisorRequestError
@@ -97,10 +98,10 @@ class Ideal:
         return self.groebner_basis(order).reduce(f)
 
     def __contains__(self, f) -> bool:
-        if isinstance(f, int):
+        if not isinstance(f, Polynomial):
+            if not isinstance(f, (int, Fraction)):
+                return False
             f = self.ring.constant(f)
-        elif not isinstance(f, Polynomial):
-            return False
         return self.groebner_basis().contains(f)
 
     def __eq__(self, other):

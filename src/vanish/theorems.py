@@ -3,8 +3,11 @@
 Each verifier returns a VerificationReport rather than a bare boolean so
 that "the hypotheses fail" (inapplicable), "the computation is not
 trusted" (uncertified), and "the containment is false" (a genuine
-failure, with a replayable witness) stay distinguishable.
-"""
+failure, with a replayable witness) stay distinguishable.  Every claim
+builds its report in one place, ``_verify``: a verifier checks its
+hypotheses, then hands over a run that returns a violating element or
+None.  A symbolic power that fails certification during the run makes
+the report inconclusive, in every claim alike."""
 
 from __future__ import annotations
 
@@ -48,12 +51,6 @@ def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
                        p.ring.nvars)
 
 
-def _bridge_notes(*witnesses: PrimeWitness) -> list[str]:
-    if all(w.graded_bridge_ok for w in witnesses):
-        return []
-    return ["graded bridge unverified"]
-
-
 def _timed(timings: dict[str, float], phase: str, fn, *args):
     t0 = time.perf_counter()
     result = fn(*args)
@@ -61,44 +58,44 @@ def _timed(timings: dict[str, float], phase: str, fn, *args):
     return result
 
 
-def _verify_symbolic(claim: str, primes, exponents, timings: dict[str, float],
-                     hyp: HypothesisReport | None, applicable: bool,
-                     data: dict, check) -> VerificationReport:
-    """The route shared by sp2, multi and regular: symbolic powers, the
-    reduced basis of their intersection, then ``check(basis)``, which
-    returns a basis element violating the claim or None.
+def _verify(claim: str, hyp: HypothesisReport | None, applicable: bool,
+            primes, data: dict, timings: dict[str, float], run,
+            notes=()) -> VerificationReport:
+    """The one place a claim becomes a report.  ``run()`` returns an
+    element violating the claim, or None when the claim holds.
 
     A symbolic power that fails certification makes the report
     inconclusive: neither applicable nor certified, with the failed
     probes as notes.
     """
     try:
-        powers = _timed(timings, "symbolic", lambda: [
-            symbolic_power(p, n) for p, n in zip(primes, exponents)])
+        witness = run()
     except UncertifiedSymbolicPowerError as exc:
         return VerificationReport(
-            claim=claim,
-            hypotheses=hyp,
-            holds=False,
-            applicable=False,
-            certified=False,
+            claim, hyp, holds=False, applicable=False, certified=False,
             notes=["inconclusive: " + str(exc)] + list(exc.diagnostics),
-            data=data,
-        )
-    basis = _timed(timings, "intersection", lambda: reduce(
-        lambda a, b: a.intersect(b), powers).groebner_basis().polys)
-    witness = _timed(timings, "check", check, basis)
+            data=data)
+    bridge = all(p.graded_bridge_ok for p in primes)
     return VerificationReport(
-        claim=claim,
-        hypotheses=hyp,
-        holds=witness is None,
-        witness=witness,
-        timings=timings,
-        applicable=applicable,
-        certified=all(p.certified for p in primes),
-        notes=_bridge_notes(*primes),
-        data=data,
-    )
+        claim, hyp, holds=witness is None, witness=witness, timings=timings,
+        applicable=applicable, certified=all(p.certified for p in primes),
+        notes=([] if bridge else ["graded bridge unverified"]) + list(notes),
+        data=data)
+
+
+def _verify_symbolic(claim: str, primes, exponents, timings: dict[str, float],
+                     hyp: HypothesisReport | None, applicable: bool,
+                     data: dict, check) -> VerificationReport:
+    """The run shared by sp2, multi and regular: symbolic powers, the
+    reduced basis of their intersection, then ``check(basis)``, which
+    returns a basis element violating the claim or None."""
+    def run():
+        powers = _timed(timings, "symbolic", lambda: [
+            symbolic_power(p, n) for p, n in zip(primes, exponents)])
+        basis = _timed(timings, "intersection", lambda: reduce(
+            lambda a, b: a.intersect(b), powers).groebner_basis().polys)
+        return _timed(timings, "check", check, basis)
+    return _verify(claim, hyp, applicable, primes, data, timings, run)
 
 
 def _order_check(bound: int, data: dict):
@@ -149,13 +146,10 @@ def verify_multi(primes, exponents) -> VerificationReport:
     heights_ok = sum(heights) == ring.nvars
     radical_ok = _timed(timings, "hypotheses", _radical_sum_is_maximal,
                         [p.ideal for p in primes])
-    data = {
-        "exponents": exponents,
-        "heights": heights,
-        "heights_sum_to_d": heights_ok,
-        "radical_sum_is_maximal": radical_ok,
-        "required_order": sum(exponents),
-    }
+    data = {"exponents": exponents, "heights": heights,
+            "heights_sum_to_d": heights_ok,
+            "radical_sum_is_maximal": radical_ok,
+            "required_order": sum(exponents)}
     return _verify_symbolic("multi", primes, exponents, timings, None,
                             heights_ok and radical_ok, data,
                             _order_check(sum(exponents), data))
@@ -175,25 +169,20 @@ def affine_vanishing_report(f: Polynomial, p: PrimeWitness,
         raise ValueError("f must lie in both primes")
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", check_hypotheses, p, q)
-    m, n, k = _timed(timings, "orders", lambda: (
-        ord_along(p, f), ord_along(q, f), f.order_at_origin()))
-    meets = k >= m + n
     applicable = hyp.all_hold
-    notes = _bridge_notes(p, q)
-    if not applicable:
-        notes = notes + ["hypotheses fail; the implication holds vacuously"]
-    return VerificationReport(
-        claim="affine",
-        hypotheses=hyp,
-        holds=meets if applicable else True,
-        witness=None if (meets or not applicable) else f,
-        timings=timings,
-        applicable=applicable,
-        certified=p.certified and q.certified,
-        notes=notes,
-        data={"ord_p": m, "ord_q": n, "order_at_origin": int(k),
-              "required_order": m + n},
-    )
+    data: dict = {}
+
+    def run():
+        m, n, k = _timed(timings, "orders", lambda: (
+            ord_along(p, f), ord_along(q, f), f.order_at_origin()))
+        data.update(ord_p=m, ord_q=n, order_at_origin=int(k),
+                    required_order=m + n)
+        return f if applicable and k < m + n else None
+
+    notes = [] if applicable else [
+        "hypotheses fail; the implication holds vacuously"]
+    return _verify("affine", hyp, applicable, (p, q), data, timings, run,
+                   notes)
 
 
 def verify_regular_case(p: PrimeWitness, q: PrimeWitness, m: int,
@@ -234,35 +223,24 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     height_j = nvars - hyp.dim_q
     ci_i = height_i == len(I.gens)
     ci_j = height_j == len(J.gens)
-    notes = []
-    if not all(g.is_homogeneous() for g in I.gens + J.gens):
-        notes.append("graded bridge unverified")
-    lhs, rhs = _timed(timings, "intersection", lambda: (
-        (I ** m).intersect(J ** n), (I ** m) * (J ** n)))
+    data = {"m": m, "n": n,
+            "height_I": height_i, "generators_I": len(I.gens),
+            "height_J": height_j, "generators_J": len(J.gens),
+            "regular_sequence_proxy_I": ci_i,
+            "regular_sequence_proxy_J": ci_j}
+    notes = [] if all(g.is_homogeneous() for g in I.gens + J.gens) else [
+        "graded bridge unverified"]
 
-    def check():
+    def run():
+        lhs, rhs = _timed(timings, "intersection", lambda: (
+            (I ** m).intersect(J ** n), (I ** m) * (J ** n)))
         # the product always sits inside the intersection, so when the
         # two differ a basis element of the intersection lies outside it
-        if lhs == rhs:
-            return None
-        return next(g for g in lhs.groebner_basis().polys if g not in rhs)
+        return _timed(timings, "check", lambda: None if lhs == rhs else next(
+            g for g in lhs.groebner_basis().polys if g not in rhs))
 
-    witness = _timed(timings, "check", check)
-    return VerificationReport(
-        claim="ci",
-        hypotheses=hyp,
-        holds=witness is None,
-        witness=witness,
-        timings=timings,
-        applicable=ci_i and ci_j and hyp.all_hold,
-        certified=True,
-        notes=notes,
-        data={"m": m, "n": n,
-              "height_I": height_i, "generators_I": len(I.gens),
-              "height_J": height_j, "generators_J": len(J.gens),
-              "regular_sequence_proxy_I": ci_i,
-              "regular_sequence_proxy_J": ci_j},
-    )
+    return _verify("ci", hyp, ci_i and ci_j and hyp.all_hold, (), data,
+                   timings, run, notes)
 
 
 def monomial_curve_prime(ring: PolyRing, exponents) -> PrimeWitness:

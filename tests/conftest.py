@@ -22,8 +22,8 @@ def gf7():
 
 @pytest.fixture
 def low_term_cap():
-    """Temporarily shrink the term cap; always restored."""
-    def setter(value):
-        config.set_term_cap(value)
-    yield setter
-    config.set_term_cap(config.DEFAULT_TERM_CAP)
+    """Temporarily shrink the term cap; the cap found beforehand, such as
+    one from VANISH_TERM_CAP, is always restored."""
+    saved = config.term_cap()
+    yield config.set_term_cap
+    config.set_term_cap(saved)

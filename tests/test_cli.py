@@ -329,6 +329,25 @@ class TestVerify:
             "radical_sum_is_maximal=true\n"
             "data: ord_p=1 ord_q=1 order_at_origin=2 required_order=2\n")
 
+    def test_affine_uncertified_is_inconclusive(self, run, tmp_path,
+                                                validator):
+        # (xy, xz) is declared prime but is not; like every verify mode,
+        # affine reports an inconclusive case instead of an error
+        path = tmp_path / "fake.txt"
+        path.write_text("ring Q[x, y, z]\n"
+                        "ideal fake = x*y, x*z  witness=y dim=2\n"
+                        "ideal q = y, z\n", encoding="utf-8")
+        args = ("verify", "affine", "-f", str(path), "-i", "fake", "-j", "q",
+                "--poly", "x*y*z")
+        code, out, err = run(*args)
+        assert (code, err) == (0, "")
+        assert "note: inconclusive: saturation of power 1 failed its " \
+               "contract\n" in out
+        assert "applicable: false\ncertified: false\n" in out
+        code, out, _ = run(*args, "--json")
+        assert code == 0
+        validator.validate(json.loads(out))
+
     def test_seed_in_json_envelope(self, run, ideal_file, validator):
         _, out, _ = run("verify", "sp2", "-f", ideal_file, "-i", "p",
                         "-j", "q", "--seed", "11", "--json")

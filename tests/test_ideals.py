@@ -95,7 +95,6 @@ class TestMembership:
     def test_non_polynomial_not_member(self, r2):
         assert "x" not in Ideal(r2, [r2.gens()[0]])
         assert 0.0 not in Ideal(r2, [r2.gens()[0]])
-        assert Fraction(0) not in Ideal(r2, [r2.gens()[0]])
 
     def test_ints_are_constants(self, r2, gf7):
         x, _ = r2.gens()
@@ -105,6 +104,16 @@ class TestMembership:
         assert -3 in Ideal(r2, [x + 1, x])
         assert 7 in Ideal(gf7, [gf7.gens()[0]])     # 7 is 0 in GF(7)
         assert 8 not in Ideal(gf7, [gf7.gens()[0]])
+
+    def test_fractions_are_constants(self, r2, gf7):
+        # as in Polynomial arithmetic and ==, a Fraction reads as a constant
+        x, _ = r2.gens()
+        for ring in (r2, gf7):
+            unit = Ideal(ring, [ring.one()])
+            assert Fraction(1, 2) in unit
+        assert Fraction(0) in Ideal(r2, [x])
+        assert Fraction(1, 2) not in Ideal(r2, [x])
+        assert Fraction(7, 2) in Ideal(gf7, [gf7.gens()[0]])  # 7/2 is 0 in GF(7)
 
 
 class TestEquality:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import minimal_by_pairs, schoolbook_mul
+from vanish import config
 from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
 from vanish.orders import GREVLEX, LEX, elimination_order
@@ -320,6 +321,20 @@ class TestTermCap:
     def test_cap_restored(self, r2):
         x, y = r2.gens()
         assert len(((x + y) ** 8).terms) == 9
+
+    def test_low_term_cap_restores_the_cap_it_found(self, request):
+        # a cap set beforehand, as VANISH_TERM_CAP sets one, outlives the
+        # fixture; the check runs after the fixture's teardown
+        saved = config.term_cap()
+        config.set_term_cap(12345)
+
+        def check():
+            found = config.term_cap()
+            config.set_term_cap(saved)
+            assert found == 12345
+
+        request.addfinalizer(check)
+        request.getfixturevalue("low_term_cap")(3)
 
 
 # lists of exponent tuples in 1-5 variables, the zero tuple included

@@ -65,3 +65,40 @@ def test_ring_mismatch_is_raised_in_poly_only():
 def test_raised_names_are_found():
     source = "def f(x):\n    if x:\n        raise KeyError(x)\n    raise StopIteration\n"
     assert sorted(raised_names(source)) == ["KeyError", "StopIteration"]
+
+
+def sites(source: str, match) -> list:
+    """The top-level definition around each node ``match`` accepts, by
+    name (None at module level)."""
+    return [getattr(stmt, "name", None) for stmt in ast.parse(source).body
+            for node in ast.walk(stmt) if match(node)]
+
+
+def calls(name: str):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def catches(name: str):
+    return lambda node: (isinstance(node, ast.ExceptHandler)
+                         and node.type is not None
+                         and any(isinstance(t, ast.Name) and t.id == name
+                                 for t in ast.walk(node.type)))
+
+
+def test_theorems_report_through_one_core():
+    # every claim's report, the inconclusive one included, is built in
+    # _verify, the one place an uncertified symbolic power is caught
+    source = (SRC / "theorems.py").read_text()
+    assert sites(source, calls("VerificationReport")) == ["_verify", "_verify"]
+    assert sites(source, catches("UncertifiedSymbolicPowerError")) == ["_verify"]
+
+
+def test_sites_are_found():
+    source = ("try:\n    f()\nexcept (KeyError, E):\n    pass\n"
+              "def g():\n    def h():\n        return f(1)\n    return [f()]\n"
+              "class C:\n    def m(self):\n        try:\n            g.f()\n"
+              "        except E:\n            f()\n")
+    assert sites(source, calls("f")) == [None, "g", "g", "C"]
+    assert sites(source, catches("E")) == [None, "C"]

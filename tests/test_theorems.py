@@ -357,3 +357,43 @@ class TestFixtureSuites:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             fixture_reports("mystery")
+
+
+class TestInconclusive:
+    """A declared prime that is not prime fails its symbolic-power
+    certification; every claim then reports an inconclusive case rather
+    than a failure or an error."""
+
+    @pytest.fixture
+    def fake_and_q(self, r3):
+        x, y, z = r3.gens()
+        # (xy, xz) = (x) cap (y, z) is not prime
+        fake = PrimeWitness(Ideal(r3, [x * y, x * z]), claimed_dim=2,
+                            witness=y)
+        return fake, PrimeWitness(coordinate_prime(r3, ["y", "z"]))
+
+    @staticmethod
+    def assert_inconclusive(rep):
+        assert not rep.applicable and not rep.certified
+        assert not rep.holds and not rep.is_failure
+        assert rep.witness is None
+        assert rep.notes[0].startswith("inconclusive: ")
+
+    def test_sp2(self, fake_and_q):
+        self.assert_inconclusive(verify_sp2(*fake_and_q, 1, 1))
+
+    def test_multi(self, fake_and_q):
+        self.assert_inconclusive(verify_multi(fake_and_q, [1, 1]))
+
+    def test_regular(self, r3, fake_and_q):
+        fake, _ = fake_and_q
+        p = PrimeWitness(coordinate_prime(r3, ["x"]))
+        self.assert_inconclusive(verify_regular_case(p, fake, 1, 1))
+
+    def test_affine(self, r3, fake_and_q):
+        x, y, z = r3.gens()
+        rep = affine_vanishing_report(x * y * z, *fake_and_q)
+        self.assert_inconclusive(rep)
+        assert rep.notes[0] == \
+            "inconclusive: saturation of power 1 failed its contract"
+        assert rep.hypotheses is not None and rep.data == {}
