@@ -10,10 +10,12 @@ membership); everything else reduces to Groebner bases.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import reduce
 
-from .errors import UnitIdealError, ZeroDivisorRequestError
+from .config import term_cap
+from .errors import TermCapExceededError, UnitIdealError, ZeroDivisorRequestError
 from .groebner import GroebnerBasis, buchberger, divmod_poly
 from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolyRing, minimal_exponents, monomial_lcm
@@ -164,8 +166,13 @@ class Ideal:
             raise ValueError("negative ideal power")
         if k == 0:
             return Ideal(self.ring, [self.ring.one()])
-        if not self.gens:
-            return Ideal(self.ring, [])
+        if len(self.gens) <= 1:
+            return Ideal(self.ring, [g ** k for g in self.gens])
+        cap = term_cap()
+        if math.comb(len(self.gens) + k - 1, k) > cap:
+            raise TermCapExceededError(
+                "ideal power has more generator products than the term cap "
+                f"({cap}); set VANISH_TERM_CAP to raise it")
         prods = set()
         for combo in itertools.combinations_with_replacement(self.gens, k):
             p = combo[0]
@@ -273,12 +280,8 @@ class Ideal:
         """
         if self.is_unit():
             raise UnitIdealError("the unit ideal has no dimension")
-        n = self.ring.nvars
-        if not self.gens:
-            return n
-        dim, _ = independent_sets(
-            self.groebner_basis().leading_term_exponents(), n, all_sets=False)
-        return dim
+        return independent_sets(self.groebner_basis().leading_term_exponents(),
+                                self.ring.nvars, all_sets=False)[0]
 
     def height(self) -> int:
         """Codimension: number of variables minus the dimension."""
@@ -353,10 +356,8 @@ def maximum_independent_sets(ideal: Ideal) -> tuple[int, list[frozenset]]:
     """All maximum independent variable sets of the leading-term ideal."""
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal has no independent sets")
-    n = ideal.ring.nvars
-    if not ideal.gens:
-        return n, [frozenset(range(n))]
-    return independent_sets(ideal.groebner_basis().leading_term_exponents(), n)
+    return independent_sets(ideal.groebner_basis().leading_term_exponents(),
+                            ideal.ring.nvars)
 
 
 def coordinate_prime(ring: PolyRing, names) -> Ideal:

@@ -74,34 +74,37 @@ def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of the Hilbert series of R/(monomials) over (1-t)^d.
 
     ``exps``, the cache key, is an antichain in (degree, exps) order.  A
-    pivot x gives N(I) = N(I + (x)) + t * N(I : x); I + (x) is x and the
-    generators x does not divide, and only I : x is re-minimalized.
+    pivot x^s gives N(I) = N(I + (x^s)) + t^s * N(I : x^s), with s the
+    least positive exponent of x in a generator that is not a power of x;
+    I + (x^s) is x^s and the generators x does not divide, and only
+    I : x^s is re-minimalized.
     """
     if not exps:
         return (1,)
     if any(not any(e) for e in exps):
         return (0,)
     supports = [tuple(i for i, v in enumerate(e) if v) for e in exps]
-    if all(
-        set(supports[i]).isdisjoint(supports[j])
-        for j in range(len(supports)) for i in range(j)
-    ):
-        result = (1,)
-        for e in exps:
-            result = _upoly_mul(result, _upoly_add((1,), _upoly_shift((-1,), sum(e))))
-        return result
     counts: dict[int, int] = {}
     for sup in supports:
         for i in sup:
             counts[i] = counts.get(i, 0) + 1
-    pivot = min(i for i, c in counts.items() if c == max(counts.values()))
-    unit = tuple(1 if i == pivot else 0 for i in range(len(exps[0])))
-    plus = tuple(sorted([e for e in exps if not e[pivot]] + [unit],
+    top = max(counts.values())
+    if top == 1:
+        # pairwise disjoint supports: a product of 1 - t^deg factors
+        result = (1,)
+        for e in exps:
+            result = _upoly_mul(result, _upoly_add((1,), _upoly_shift((-1,), sum(e))))
+        return result
+    pivot = min(i for i, c in counts.items() if c == top)
+    s = min(e[pivot] for e, sup in zip(exps, supports)
+            if e[pivot] and len(sup) > 1)
+    power = (0,) * pivot + (s,) + (0,) * (len(exps[0]) - pivot - 1)
+    plus = tuple(sorted([e for e in exps if not e[pivot]] + [power],
                         key=lambda e: (sum(e), e)))
     quot = minimal_exponents(
-        e[:pivot] + (max(e[pivot] - 1, 0),) + e[pivot + 1:] for e in exps)
+        e[:pivot] + (max(e[pivot] - s, 0),) + e[pivot + 1:] for e in exps)
     return _upoly_add(_hilbert_numerator(plus),
-                      _upoly_shift(_hilbert_numerator(quot), 1))
+                      _upoly_shift(_hilbert_numerator(quot), s))
 
 
 def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -153,8 +156,8 @@ def graded_hilbert_data(ideal: Ideal) -> HilbertData:
     """
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal has no Hilbert data")
-    lt = ideal.leading_term_ideal(GREVLEX)
-    return hilbert_series(lt.gens, ideal.ring)
+    return hilbert_series(ideal.groebner_basis().leading_term_exponents(),
+                          ideal.ring)
 
 
 def multiplicity_graded(ideal: Ideal) -> int:

@@ -9,7 +9,7 @@ not a counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .poly import Polynomial
 
@@ -29,13 +29,7 @@ class HypothesisReport:
         return self.radical_sum_is_maximal and self.dims_sum_to_d
 
     def to_dict(self) -> dict:
-        return {
-            "radical_sum_is_maximal": self.radical_sum_is_maximal,
-            "dim_p": self.dim_p,
-            "dim_q": self.dim_q,
-            "dims_sum_to_d": self.dims_sum_to_d,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -66,20 +60,9 @@ class VerificationReport:
             "hypotheses": self.hypotheses.to_dict() if self.hypotheses else None,
             "witness": str(self.witness) if self.witness is not None else None,
             "notes": list(self.notes),
-            "data": _jsonable(self.data),
+            "data": self.data,
         }
         if include_timings:
             out["timings"] = dict(self.timings)
         return out
 
-
-def _jsonable(value):
-    if isinstance(value, Polynomial):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)

@@ -3,11 +3,14 @@
 Each verifier returns a VerificationReport rather than a bare boolean so
 that "the hypotheses fail" (inapplicable), "the computation is not
 trusted" (uncertified), and "the containment is false" (a genuine
-failure, with a replayable witness) stay distinguishable.  Every claim
-builds its report in one place, ``_verify``: a verifier checks its
-hypotheses, then hands over a run that returns a violating element or
-None.  A symbolic power that fails certification during the run makes
-the report inconclusive, in every claim alike."""
+failure, with a replayable witness) stay distinguishable.  One helper,
+``_hypotheses``, decides both hypotheses for every claim: the radical of
+the summed ideals is the origin's maximal ideal, and the heights sum to
+the number of variables.  Every claim builds its report in one place,
+``_verify``: a verifier checks its hypotheses, then hands over a run
+that returns a violating element or None.  A symbolic power that fails
+certification during the run makes the report inconclusive, in every
+claim alike."""
 
 from __future__ import annotations
 
@@ -27,28 +30,27 @@ def full_coordinate_prime(ring: PolyRing) -> Ideal:
     return coordinate_prime(ring, ring.variables)
 
 
-def _radical_sum_is_maximal(ideals) -> bool:
-    """Is the radical of the summed ideals the origin's maximal ideal?"""
+def _hypotheses(ideals, dims) -> tuple[bool, bool]:
+    """(the radical of the summed ideals is the origin's maximal ideal,
+    their heights sum to the number of variables) for ideals of
+    dimensions ``dims``.  For two ideals the height count is the
+    dimension count dim + dim = d."""
+    ring = ideals[0].ring
+    ring.check(*ideals)
     s = reduce(lambda a, b: a + b, ideals)
-    return s.is_proper() and all(s.radical_contains(v) for v in s.ring.gens())
+    return (s.is_proper() and all(s.radical_contains(v) for v in ring.gens()),
+            sum(ring.nvars - d for d in dims) == ring.nvars)
 
 
-def _hypotheses(ideals, dims, nvars: int) -> HypothesisReport:
-    """Radical-of-sum and dimension-count conditions for two ideals of
-    dimensions ``dims`` in ``nvars`` variables."""
-    return HypothesisReport(
-        radical_sum_is_maximal=_radical_sum_is_maximal(ideals),
-        dim_p=dims[0],
-        dim_q=dims[1],
-        dims_sum_to_d=sum(dims) == nvars,
-    )
+def _pair_report(ideals, dims) -> HypothesisReport:
+    """The two hypotheses for a pair, as a report."""
+    radical_ok, dims_ok = _hypotheses(ideals, dims)
+    return HypothesisReport(radical_ok, *dims, dims_ok)
 
 
 def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
     """Radical-of-sum and dimension-count conditions for a prime pair."""
-    p.ring.check(q)
-    return _hypotheses([p.ideal, q.ideal], (p.claimed_dim, q.claimed_dim),
-                       p.ring.nvars)
+    return _pair_report([p.ideal, q.ideal], [p.claimed_dim, q.claimed_dim])
 
 
 def _timed(timings: dict[str, float], phase: str, fn, *args):
@@ -139,14 +141,12 @@ def verify_multi(primes, exponents) -> VerificationReport:
         raise ValueError("at least one prime is required")
     if len(primes) != len(exponents):
         raise ValueError("one exponent per prime")
-    ring = primes[0].ring
-    ring.check(*primes)
     timings: dict[str, float] = {}
-    heights = [ring.nvars - p.claimed_dim for p in primes]
-    heights_ok = sum(heights) == ring.nvars
-    radical_ok = _timed(timings, "hypotheses", _radical_sum_is_maximal,
-                        [p.ideal for p in primes])
-    data = {"exponents": exponents, "heights": heights,
+    radical_ok, heights_ok = _timed(
+        timings, "hypotheses", _hypotheses, [p.ideal for p in primes],
+        [p.claimed_dim for p in primes])
+    data = {"exponents": exponents,
+            "heights": [p.ring.nvars - p.claimed_dim for p in primes],
             "heights_sum_to_d": heights_ok,
             "radical_sum_is_maximal": radical_ok,
             "required_order": sum(exponents)}
@@ -214,13 +214,10 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     reported alongside.
     """
     m, n = positive_int(m), positive_int(n)
-    I.ring.check(J)
-    nvars = I.ring.nvars
     timings: dict[str, float] = {}
-    hyp = _timed(timings, "hypotheses", lambda: _hypotheses(
-        [I, J], (I.dimension(), J.dimension()), nvars))
-    height_i = nvars - hyp.dim_p
-    height_j = nvars - hyp.dim_q
+    hyp = _timed(timings, "hypotheses", lambda: _pair_report(
+        [I, J], [I.dimension(), J.dimension()]))
+    height_i, height_j = I.height(), J.height()
     ci_i = height_i == len(I.gens)
     ci_j = height_j == len(J.gens)
     data = {"m": m, "n": n,

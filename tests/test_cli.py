@@ -153,6 +153,16 @@ class TestScalarCommands:
         _, out, _ = run("mult", "-f", ideal_file, "-i", "curve", "--json")
         validator.validate(json.loads(out))
 
+    def test_mult_with_large_exponents(self, run, tmp_path):
+        # the Hilbert recursion pivots on x^s, not on x one step at a time,
+        # so its depth does not grow with the exponents
+        path = tmp_path / "large.txt"
+        path.write_text("ring Q[x, y, z]\n"
+                        "ideal D = x^600*y^600, y^600*z^600, x^600*z^600\n",
+                        encoding="utf-8")
+        assert run("mult", "-f", str(path), "-i", "D")[:2] == (
+            0, f"{3 * 600 ** 2}\n")
+
 
 class TestSymbolicPower:
     def test_curve_square(self, run, ideal_file):
@@ -444,6 +454,15 @@ class TestExitCodes:
                            "--poly", "(x + y + z)^6", "--term-cap", "10")
         assert code == 3
         assert "resource cap" in err
+
+    def test_huge_ideal_power_exits_three(self, run, ideal_file):
+        # (x, y)^k has k + 1 generators: refused before any is formed
+        for argv in (("symbolic-power", "-i", "p", "-m", str(10 ** 20)),
+                     ("verify", "sp2", "-i", "p", "-j", "q",
+                      "-m", "99999999999")):
+            code, out, err = run(*argv, "-f", ideal_file)
+            assert (code, out) == (3, "")
+            assert "resource cap: ideal power" in err
 
     def test_claim_failure_exits_one(self, run, ideal_file):
         assert run("symbolic-power", "-f", ideal_file, "-i", "twolines",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from vanish.errors import ParseError, UnknownVariableError
-from vanish.fields import GF, QQ
+from vanish.fields import GF
 from vanish.parser import parse_generators, parse_polynomial
 from vanish.poly import PolyRing
 

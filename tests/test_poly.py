@@ -12,7 +12,7 @@ from vanish import config
 from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
 from vanish.orders import GREVLEX, LEX, elimination_order
-from vanish.poly import PolyRing, Polynomial, minimal_exponents
+from vanish.poly import PolyRing, minimal_exponents
 
 
 class TestCoefficientField:

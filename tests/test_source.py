@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vanish"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "vanish"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -32,7 +33,8 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -80,6 +82,12 @@ def calls(name: str):
                          and node.func.id == name)
 
 
+def method_calls(name: str):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == name)
+
+
 def catches(name: str):
     return lambda node: (isinstance(node, ast.ExceptHandler)
                          and node.type is not None
@@ -95,6 +103,13 @@ def test_theorems_report_through_one_core():
     assert sites(source, catches("UncertifiedSymbolicPowerError")) == ["_verify"]
 
 
+def test_theorems_decide_hypotheses_in_one_helper():
+    # both hypotheses, for pairs, multi and ci alike, are decided in
+    # _hypotheses: the one radical-membership test in the module
+    source = (SRC / "theorems.py").read_text()
+    assert sites(source, method_calls("radical_contains")) == ["_hypotheses"]
+
+
 def test_sites_are_found():
     source = ("try:\n    f()\nexcept (KeyError, E):\n    pass\n"
               "def g():\n    def h():\n        return f(1)\n    return [f()]\n"
@@ -102,3 +117,8 @@ def test_sites_are_found():
               "        except E:\n            f()\n")
     assert sites(source, calls("f")) == [None, "g", "g", "C"]
     assert sites(source, catches("E")) == [None, "C"]
+
+
+def test_method_call_sites_are_found():
+    source = "def g():\n    return a.f(b.f, f())\nclass C:\n    x = f\n    y = a.b.f()\n"
+    assert sites(source, method_calls("f")) == ["g", "C"]
