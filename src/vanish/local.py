@@ -16,10 +16,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import DEFAULT_ORD_CAP
+from .config import DEFAULT_ORD_CAP, term_cap
 from .errors import (
     NonHomogeneousError,
     OrdSearchCapError,
+    TermCapExceededError,
     UncertifiedSymbolicPowerError,
     UnitIdealError,
     WitnessError,
@@ -48,63 +49,37 @@ class HilbertData:
     multiplicity: int
 
 
-def _upoly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
-
-
-def _upoly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _upoly_shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return (0,) * k + a
-
-
 @lru_cache(maxsize=None)
 def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of the Hilbert series of R/(monomials) over (1-t)^d.
 
-    ``exps``, the cache key, is an antichain in (degree, exps) order.  A
-    pivot x^s gives N(I) = N(I + (x^s)) + t^s * N(I : x^s), with s the
-    least positive exponent of x in a generator that is not a power of x;
-    I + (x^s) is x^s and the generators x does not divide, and only
-    I : x^s is re-minimalized.
+    ``exps``, the cache key, is an antichain in (degree, exps) order.  It
+    slices on the last variable x (Bayer-Stillman): with 0 = a_0 < ... <
+    a_K the distinct x-exponents, 0 included, and J_a the minimal x-free
+    parts of the generators of x-degree <= a (those of I : x^a),
+
+        N(I) = sum_{k<K} (t^a_k - t^a_(k+1)) N(J_a_k) + t^a_K N(J_a_K).
+
+    Each J_a has one variable fewer: the recursion is at most nvars + 1
+    calls deep.
     """
     if not exps:
         return (1,)
-    if any(not any(e) for e in exps):
+    if not any(exps[0]):
         return (0,)
-    supports = [tuple(i for i, v in enumerate(e) if v) for e in exps]
-    counts: dict[int, int] = {}
-    for sup in supports:
-        for i in sup:
-            counts[i] = counts.get(i, 0) + 1
-    top = max(counts.values())
-    if top == 1:
-        # pairwise disjoint supports: a product of 1 - t^deg factors
-        result = (1,)
-        for e in exps:
-            result = _upoly_mul(result, _upoly_add((1,), _upoly_shift((-1,), sum(e))))
-        return result
-    pivot = min(i for i, c in counts.items() if c == top)
-    s = min(e[pivot] for e, sup in zip(exps, supports)
-            if e[pivot] and len(sup) > 1)
-    power = (0,) * pivot + (s,) + (0,) * (len(exps[0]) - pivot - 1)
-    plus = tuple(sorted([e for e in exps if not e[pivot]] + [power],
-                        key=lambda e: (sum(e), e)))
-    quot = minimal_exponents(
-        e[:pivot] + (max(e[pivot] - s, 0),) + e[pivot + 1:] for e in exps)
-    return _upoly_add(_hilbert_numerator(plus),
-                      _upoly_shift(_hilbert_numerator(quot), s))
+    layers: dict[int, list[tuple[int, ...]]] = {0: []}
+    for e in exps:
+        layers.setdefault(e[-1], []).append(e[:-1])
+    cuts = sorted(layers)
+    out = [0] * (sum(map(max, zip(*exps))) + 1)
+    free: tuple[tuple[int, ...], ...] = ()
+    for a, b in zip(cuts, cuts[1:] + [None]):
+        free = minimal_exponents(free + tuple(layers[a]))
+        for i, c in enumerate(_hilbert_numerator(free)):
+            out[a + i] += c
+            if b is not None:
+                out[b + i] -= c
+    return tuple(out)
 
 
 def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,7 +99,9 @@ def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
     """Hilbert data of R modulo a monomial ideal.
 
     ``lt_gens`` may hold monomial polynomials or raw exponent tuples; the
-    set is re-minimalized, so redundant generators are harmless.
+    set is re-minimalized, so redundant generators are harmless.  The
+    numerator has at most deg(lcm) + 1 coefficients; more than the term
+    cap is refused before any is formed.
     """
     exps = []
     for g in lt_gens:
@@ -134,6 +111,11 @@ def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
             g = g.leading_exps(GREVLEX)
         exps.append(ring.exponents(g))
     antichain = minimal_exponents(exps)
+    cap = term_cap()
+    if sum(map(max, zip(*antichain))) >= cap:
+        raise TermCapExceededError(
+            "Hilbert numerator has more coefficients than the term cap "
+            f"({cap}); set VANISH_TERM_CAP to raise it")
     numerator = _hilbert_numerator(antichain)
     if not any(numerator):
         return HilbertData((0,), -1, 0)

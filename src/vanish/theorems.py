@@ -217,7 +217,7 @@ def verify_ci_product(I: Ideal, J: Ideal, m: int, n: int) -> VerificationReport:
     timings: dict[str, float] = {}
     hyp = _timed(timings, "hypotheses", lambda: _pair_report(
         [I, J], [I.dimension(), J.dimension()]))
-    height_i, height_j = I.height(), J.height()
+    height_i, height_j = I.ring.nvars - hyp.dim_p, I.ring.nvars - hyp.dim_q
     ci_i = height_i == len(I.gens)
     ci_j = height_j == len(J.gens)
     data = {"m": m, "n": n,

@@ -154,14 +154,23 @@ class TestScalarCommands:
         validator.validate(json.loads(out))
 
     def test_mult_with_large_exponents(self, run, tmp_path):
-        # the Hilbert recursion pivots on x^s, not on x one step at a time,
-        # so its depth does not grow with the exponents
+        # the Hilbert recursion slices on one variable at a time, so its
+        # depth does not grow with the exponents
         path = tmp_path / "large.txt"
         path.write_text("ring Q[x, y, z]\n"
                         "ideal D = x^600*y^600, y^600*z^600, x^600*z^600\n",
                         encoding="utf-8")
         assert run("mult", "-f", str(path), "-i", "D")[:2] == (
             0, f"{3 * 600 ** 2}\n")
+
+    def test_mult_of_a_long_staircase(self, run, tmp_path):
+        # 1,200 generators x^i*y^(1201-i): the recursion depth is bounded
+        # by the variable count, not by the number of generators
+        path = tmp_path / "stair.txt"
+        path.write_text("ring Q[x, y]\nideal S = " + ", ".join(
+            f"x^{i}*y^{1201 - i}" for i in range(1, 1201)) + "\n",
+            encoding="utf-8")
+        assert run("mult", "-f", str(path), "-i", "S")[:2] == (0, "2\n")
 
 
 class TestSymbolicPower:
@@ -463,6 +472,16 @@ class TestExitCodes:
             code, out, err = run(*argv, "-f", ideal_file)
             assert (code, out) == (3, "")
             assert "resource cap: ideal power" in err
+
+    def test_huge_monomial_degree_exits_three(self, run, tmp_path):
+        # the Hilbert numerator would have 10^20 + 2 coefficients
+        path = tmp_path / "big.txt"
+        path.write_text(f"ring Q[x, y]\nideal big = x^{10 ** 20}*y\n",
+                        encoding="utf-8")
+        for command in ("mult", "assoc-check"):
+            code, out, err = run(command, "-f", str(path), "-i", "big")
+            assert (code, out) == (3, "")
+            assert "resource cap: Hilbert numerator" in err
 
     def test_claim_failure_exits_one(self, run, ideal_file):
         assert run("symbolic-power", "-f", ideal_file, "-i", "twolines",

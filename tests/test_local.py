@@ -14,8 +14,10 @@ from oracles import (
     multiplicity_by_differences,
     numerator_by_counting,
 )
+from vanish import local
 from vanish.errors import (
     OrdSearchCapError,
+    TermCapExceededError,
     UncertifiedSymbolicPowerError,
     UnitIdealError,
     WitnessError,
@@ -89,6 +91,40 @@ class TestHilbertSeries:
         via_exps = hilbert_series([(2, 0), (1, 1)], r2)
         assert via_polys == via_exps
 
+    def test_numerator_length_within_term_cap(self, r2, low_term_cap):
+        # x^3*y has deg(lcm) + 1 = 5 numerator coefficients
+        low_term_cap(5)
+        assert hilbert_series([(3, 1)], r2) == HilbertData((1, 1, 1, 1), 1, 4)
+        low_term_cap(4)
+        with pytest.raises(TermCapExceededError, match="Hilbert numerator"):
+            hilbert_series([(3, 1)], r2)
+
+    @pytest.mark.parametrize("nvars, gens", [
+        (2, [(i, 1201 - i) for i in range(1, 1201)]),
+        (4, monomials_of_degree(4, 3)),
+        (5, monomials_of_degree(5, 4)[::3]),
+        (6, monomials_of_degree(6, 2)),
+    ])
+    def test_recursion_depth_bounded_by_variable_count(self, monkeypatch,
+                                                       nvars, gens):
+        numerator = local._hilbert_numerator
+        numerator.cache_clear()
+        depth = deepest = 0
+
+        def tracked(exps):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                return numerator(exps)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(local, "_hilbert_numerator", tracked)
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(nvars)))
+        hilbert_series(gens, ring)
+        assert 1 < deepest <= nvars + 1
+
     @pytest.mark.parametrize("exps", [
         [(1, -2), (0, 1)],    # used to recurse without end
         [(-1, 0)],            # used to read as the unit ideal
@@ -116,7 +152,7 @@ def monomial_generators(draw):
 
 
 class TestHilbertSeriesDifferential:
-    # The pivot recursion against standard-monomial counting, in more
+    # The slicing recursion against standard-monomial counting, in more
     # variables and with more generators than the benchmark's ideals.
     @settings(max_examples=60, deadline=None)
     @given(monomial_generators())

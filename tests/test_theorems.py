@@ -347,6 +347,19 @@ class TestFixtureSuites:
         assert "graded bridge unverified" in \
             by_id["parabola-pair-vs-plane/m2-n3"].notes
 
+    def test_ci_suite_computes_each_dimension_once(self, monkeypatch):
+        # three rows, two ideals each: one dimension per ideal
+        dimension = Ideal.dimension
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return dimension(ideal)
+
+        monkeypatch.setattr(Ideal, "dimension", counted)
+        fixture_reports("ci")
+        assert len(calls) == 6
+
     def test_affine_suite(self):
         by_id = {rep.case_id: rep for rep in fixture_reports("affine")}
         assert by_id["coordinate-product"].holds
