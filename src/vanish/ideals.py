@@ -322,9 +322,11 @@ class Ideal:
 
 def _monomial_ideal(ring: PolyRing, exps) -> Ideal:
     """The ideal of the minimal monomials among ``exps``, listed as its
-    reduced grevlex basis."""
-    return Ideal(ring, [ring.monomial(e) for e in sorted(
+    reduced grevlex basis, which it holds."""
+    out = Ideal(ring, [ring.monomial(e) for e in sorted(
         minimal_exponents(exps), key=GREVLEX.key, reverse=True)])
+    out._gb_cache[GREVLEX] = GroebnerBasis(ring, GREVLEX, out.gens)
+    return out
 
 
 def _poly_sort_key(g: Polynomial):
@@ -336,12 +338,14 @@ def independent_sets(exps, nvars: int, all_sets: bool = True):
 
     Returns (size, sets); with all_sets False only the first witness of
     the maximal size is kept.  For the minimal generators of a leading-term
-    ideal the size is the dimension of the quotient.
+    ideal the size is the dimension of the quotient.  A variable with a
+    pure power among the tuples lies in no such set, so it is left out.
     """
     supports = [frozenset(i for i, e in enumerate(x) if e) for x in exps]
-    for size in range(nvars, -1, -1):
+    free = [i for i in range(nvars) if frozenset((i,)) not in supports]
+    for size in range(len(free), -1, -1):
         found = []
-        for combo in itertools.combinations(range(nvars), size):
+        for combo in itertools.combinations(free, size):
             s = set(combo)
             if not any(sup <= s for sup in supports):
                 found.append(frozenset(combo))

@@ -1,7 +1,7 @@
 """Local invariants: symbolic powers, vanishing orders along a prime,
 Hilbert series of monomial ideals, graded multiplicity, local lengths at
-coordinate primes, and the brute-force additivity check that ties
-multiplicity to the top-dimensional local lengths.
+coordinate primes, and the additivity check that ties multiplicity to the
+top-dimensional local lengths.
 
 Symbolic powers are computed by saturating the ordinary power at a
 witness element outside the prime.  That is only guaranteed to remove
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ideals import Ideal, independent_sets
 from .orders import GREVLEX
-from .poly import Polynomial, PolyRing, minimal_exponents, monomial_divides, positive_int
+from .poly import Polynomial, PolyRing, minimal_exponents, positive_int
 from .reports import VerificationReport
 
 
@@ -61,7 +61,8 @@ def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         N(I) = sum_{k<K} (t^a_k - t^a_(k+1)) N(J_a_k) + t^a_K N(J_a_K).
 
     Each J_a has one variable fewer: the recursion is at most nvars + 1
-    calls deep.
+    calls deep.  Every standard-monomial count, local lengths included,
+    goes through it, bounded by the term cap in ``_series``.
     """
     if not exps:
         return (1,)
@@ -82,26 +83,11 @@ def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _strip_one_minus_t(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # exact quotient by (1 - t); valid only when the sum of coefficients is 0
-    partial = []
-    acc = 0
-    for c in coeffs:
-        acc += c
-        partial.append(acc)
-    if partial[-1] != 0:
-        raise ValueError("numerator not divisible by 1 - t")
-    partial.pop()
-    return tuple(partial) if partial else (0,)
-
-
 def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
     """Hilbert data of R modulo a monomial ideal.
 
     ``lt_gens`` may hold monomial polynomials or raw exponent tuples; the
-    set is re-minimalized, so redundant generators are harmless.  The
-    numerator has at most deg(lcm) + 1 coefficients; more than the term
-    cap is refused before any is formed.
+    set is re-minimalized, so redundant generators are harmless.
     """
     exps = []
     for g in lt_gens:
@@ -110,19 +96,25 @@ def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
                 raise ValueError(f"{g} is not a monomial")
             g = g.leading_exps(GREVLEX)
         exps.append(ring.exponents(g))
-    antichain = minimal_exponents(exps)
+    return _series(minimal_exponents(exps), ring.nvars)
+
+
+def _series(antichain: tuple[tuple[int, ...], ...], nvars: int) -> HilbertData:
+    """Hilbert data of k[x_1..x_nvars] modulo the monomials of ``antichain``,
+    which must be in (degree, exps) order, the numerator's cache key.  The
+    numerator has at most deg(lcm) + 1 coefficients; more than the term
+    cap is refused before any is formed."""
     cap = term_cap()
     if sum(map(max, zip(*antichain))) >= cap:
         raise TermCapExceededError(
             "Hilbert numerator has more coefficients than the term cap "
             f"({cap}); set VANISH_TERM_CAP to raise it")
-    numerator = _hilbert_numerator(antichain)
-    if not any(numerator):
+    h = _hilbert_numerator(antichain)
+    if not any(h):
         return HilbertData((0,), -1, 0)
-    h = numerator
-    dim = ring.nvars
+    dim = nvars
     while sum(h) == 0:
-        h = _strip_one_minus_t(h)
+        h = tuple(itertools.accumulate(h))[:-1]     # exact quotient by 1 - t
         dim -= 1
     while len(h) > 1 and h[-1] == 0:
         h = h[:-1]
@@ -138,8 +130,8 @@ def graded_hilbert_data(ideal: Ideal) -> HilbertData:
     """
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal has no Hilbert data")
-    return hilbert_series(ideal.groebner_basis().leading_term_exponents(),
-                          ideal.ring)
+    return _series(minimal_exponents(
+        ideal.groebner_basis().leading_term_exponents()), ideal.ring.nvars)
 
 
 def multiplicity_graded(ideal: Ideal) -> int:
@@ -345,8 +337,9 @@ def local_length_at_monomial_prime(ideal: Ideal, prime_vars) -> int:
     """Length of the localization of R/I at a coordinate prime.
 
     Substituting 1 for the variables outside the prime turns the
-    localization into a standard-monomial count.  Finiteness requires the
-    prime to be minimal over the ideal; anything else is rejected.
+    localization into a standard-monomial count, by the Hilbert recursion
+    and so bounded by the term cap.  Finiteness requires the prime to be
+    minimal over the ideal; anything else is rejected.
     """
     names = list(prime_vars)
     if len(set(names)) != len(names):
@@ -356,7 +349,8 @@ def local_length_at_monomial_prime(ideal: Ideal, prime_vars) -> int:
 
 
 def _local_length(exps, idxs) -> int:
-    """Count of standard monomials of ``exps`` once the variables off ``idxs`` are 1."""
+    """Standard monomials of ``exps`` once the variables off ``idxs`` are 1:
+    the multiplicity of a 0-dimensional restriction, within the term cap."""
     if not idxs:
         if exps:
             raise ValueError("only the zero ideal localizes at the zero prime")
@@ -364,34 +358,26 @@ def _local_length(exps, idxs) -> int:
     restricted = minimal_exponents(tuple(e[i] for i in idxs) for e in exps)
     if any(not any(e) for e in restricted):
         raise ValueError("the prime does not contain the ideal")
-    bounds = []
-    for pos in range(len(idxs)):
-        pure = [e[pos] for e in restricted
-                if all(v == 0 for j, v in enumerate(e) if j != pos) and e[pos]]
-        if not pure:
-            raise ValueError(
-                "the prime is not minimal over the ideal (infinite length)")
-        bounds.append(min(pure))
-    count = 0
-    for point in itertools.product(*(range(b) for b in bounds)):
-        if not any(monomial_divides(g, point) for g in restricted):
-            count += 1
-    return count
+    data = _series(restricted, len(idxs))
+    if data.dimension:
+        raise ValueError(
+            "the prime is not minimal over the ideal (infinite length)")
+    return data.multiplicity
 
 
 def associativity_check(ideal: Ideal) -> VerificationReport:
     """Multiplicity against the sum of local lengths at top primes.
 
-    Both sides read the one antichain of minimal generators and share
-    nothing else: the left comes from the Hilbert-series recursion, the
-    right from enumerating the coordinate minimal primes of maximal
-    dimension and counting standard monomials in each localization.
+    Both sides read the one antichain of minimal generators and count
+    standard monomials by the one Hilbert recursion: the left in R, the
+    right localized at each coordinate minimal prime of maximal dimension.
+    A box count in the tests checks the local lengths independently.
     """
     if ideal.is_unit():
         raise UnitIdealError("additivity check needs a proper ideal")
     ring = ideal.ring
     exps = ideal.monomial_exponents()   # raises unless monomial
-    lhs = hilbert_series(exps, ring).multiplicity
+    lhs = _series(minimal_exponents(exps), ring.nvars).multiplicity
     _, indep_sets = independent_sets(exps, ring.nvars)
     terms = []
     rhs = 0

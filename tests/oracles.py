@@ -121,6 +121,34 @@ def minimal_members(members: set) -> set[tuple[int, ...]]:
     return {m for m in members if not any(d in members for d in below(m))}
 
 
+def local_length_by_box(gen_exps, idxs) -> int:
+    """Length of R/I localized at the prime of the variables ``idxs``.
+
+    The variables off ``idxs`` become 1; the standard monomials of what is
+    left are counted point by point in the box below the smallest pure
+    power of each prime variable.  Raises ValueError when the prime is
+    empty but the ideal is not, when the prime misses a generator, or when
+    some prime variable has no pure power (infinite length).
+    """
+    if not idxs:
+        if gen_exps:
+            raise ValueError("only the zero ideal localizes at the zero prime")
+        return 1
+    restricted = minimal_by_pairs(tuple(e[i] for i in idxs) for e in gen_exps)
+    if any(not any(e) for e in restricted):
+        raise ValueError("the prime does not contain the ideal")
+    bounds = []
+    for pos in range(len(idxs)):
+        pure = [e[pos] for e in restricted
+                if e[pos] and not any(v for j, v in enumerate(e) if j != pos)]
+        if not pure:
+            raise ValueError(
+                "the prime is not minimal over the ideal (infinite length)")
+        bounds.append(min(pure))
+    return sum(1 for point in itertools.product(*(range(b) for b in bounds))
+               if not membership_by_divisibility(point, restricted))
+
+
 # ---------------------------------------------------------------------------
 # graded pieces of homogeneous ideals
 # ---------------------------------------------------------------------------

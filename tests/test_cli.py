@@ -229,6 +229,16 @@ class TestAssocCheck:
         code, _, err = run("assoc-check", "-f", ideal_file, "-i", "conic")
         assert code == 2 and "monomial" in err
 
+    def test_large_box(self, run, tmp_path):
+        # 1.25e8 standard monomials, counted by the Hilbert recursion on
+        # both sides rather than point by point
+        path = tmp_path / "box.txt"
+        path.write_text("ring Q[x, y, z]\nideal box = x^500, y^500, z^500\n",
+                        encoding="utf-8")
+        code, out, _ = run("assoc-check", "-f", str(path), "-i", "box")
+        assert code == 0
+        assert "local_sum=125000000" in out
+
 
 class TestVerify:
     def test_single_sp2(self, run, ideal_file):

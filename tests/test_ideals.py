@@ -347,6 +347,39 @@ class TestIndependentSets:
         assert dim == 2
         assert sorted(sets, key=sorted) == [frozenset({0, 2}), frozenset({1, 2})]
 
+    def test_pure_powers_leave_their_variables_out(self, monkeypatch):
+        # the maximal ideal of 22 variables: one subset examined, not 2^22
+        examined = []
+        combinations = itertools.combinations
+
+        def counting(pool, size):
+            for combo in combinations(pool, size):
+                examined.append(combo)
+                yield combo
+
+        monkeypatch.setattr(itertools, "combinations", counting)
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(22)))
+        assert coordinate_prime(ring, ring.variables).dimension() == 0
+        assert examined == [()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                         max_size=5))))
+def test_independent_sets_match_every_subset(case):
+    # the same sets, in the same order, as a scan of every subset
+    nvars, exps = case
+    supports = [{i for i, e in enumerate(x) if e} for x in exps]
+    every = [frozenset(c) for size in range(nvars, -1, -1)
+             for c in itertools.combinations(range(nvars), size)
+             if not any(s <= set(c) for s in supports)]
+    top = len(every[0])
+    assert ideals.independent_sets(exps, nvars) == \
+        (top, [s for s in every if len(s) == top])
+    assert ideals.independent_sets(exps, nvars, all_sets=False) == \
+        (top, every[:1])
+
 
 class TestLeadingTermIdeal:
     def test_curve(self, curve, r3):
@@ -403,6 +436,24 @@ def test_eliminate_hands_over_its_reduced_basis(problem):
     ideal, names = problem
     sub = ideal.eliminate(names)
     assert list(sub.groebner_basis().polys) == ideals.buchberger(sub.ring, sub.gens, GREVLEX)
+
+
+def test_monomial_closed_forms_hand_over_their_reduced_basis(r3, monkeypatch):
+    x, y, z = r3.gens()
+    I, J = Ideal(r3, [x**2, x * y, y**3]), Ideal(r3, [y**2, z])
+    I.groebner_basis(), J.groebner_basis()
+    calls = []
+    orig = ideals.buchberger
+
+    def recording(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    results = [I.intersect(J), I.colon(x), I.colon(J)]
+    bases = [list(K.groebner_basis().polys) for K in results]
+    assert calls == []
+    assert bases == [orig(r3, K.gens, GREVLEX) for K in results]
 
 
 class TestCoordinatePrime:

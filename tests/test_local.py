@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (
+    local_length_by_box,
     monomial_dimension,
     monomials_of_degree,
     multiplicity_by_differences,
@@ -244,6 +245,45 @@ class TestLocalLength:
         x, y, z = r3.gens()
         with pytest.raises(ValueError):
             local_length_at_monomial_prime(Ideal(r3, [x * y]), ("x", "y"))
+
+    def test_length_within_term_cap(self, r2, low_term_cap):
+        # the count goes through the Hilbert recursion and its cap
+        x, _ = r2.gens()
+        low_term_cap(5)
+        assert local_length_at_monomial_prime(Ideal(r2, [x**4]), ("x",)) == 4
+        with pytest.raises(TermCapExceededError, match="Hilbert numerator"):
+            local_length_at_monomial_prime(Ideal(r2, [x**5]), ("x",))
+
+
+@st.composite
+def localizations(draw):
+    """(nvars, exponent tuples, prime variable indices): 1-4 variables,
+    exponents 0-4, the empty prime included; half the draws add a pure
+    power of each prime variable, so that many lengths are finite."""
+    nvars = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=5))
+    idxs = sorted(draw(st.sets(st.integers(0, nvars - 1))))
+    if draw(st.booleans()):
+        gens += [tuple(draw(st.integers(1, 4)) if j == i else 0
+                       for j in range(nvars)) for i in idxs]
+    return nvars, gens, idxs
+
+
+@settings(max_examples=200, deadline=None)
+@given(localizations())
+def test_local_length_matches_box_count(case):
+    nvars, gens, idxs = case
+    ring = PolyRing(QQ, tuple(f"x{i}" for i in range(nvars)))
+    ideal = Ideal(ring, [ring.monomial(e) for e in gens])
+    names = [ring.variables[i] for i in idxs]
+    try:
+        expected = local_length_by_box(gens, idxs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            local_length_at_monomial_prime(ideal, names)
+        assert str(got.value) == str(exc)
+    else:
+        assert local_length_at_monomial_prime(ideal, names) == expected
 
 
 class TestAssociativity:
