@@ -11,7 +11,9 @@ once, at a width that only grows: an overflow repacks them at twice the
 width and starts the division over.  :func:`divmod_poly` and
 :func:`normal_form` build a ``_Divisors`` per call, a :class:`GroebnerBasis`
 one for its life, and :func:`buchberger` one for its basis, in which an
-S-pair starts as x^(L - lt g_i) g_i with its first step forced onto g_j.
+S-pair starts as x^(L - lt g_i) g_i with its first step forced onto g_j
+and its remainder, made monic, stays there in working form as the next
+element; only the final basis is built as polynomials.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -57,49 +59,81 @@ class _Divisors:
     all at ``packing``, whose width only grows."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=()):
-        self.ring, self.order, self.polys = ring, order, list(divisors)
-        ring.check(*self.polys)
-        self._repack(0)
+        divisors = list(divisors)
+        ring.check(*divisors)
+        self.ring, self.order, self.count = ring, order, len(divisors)
+        fld, one = ring.field, ring.field.one()
+        self._one = _working(fld, one)
+        self._back = (lambda c: c) if fld.p else (lambda c: Fraction(*c))
+        self.packing = order.packing(ring.nvars, max([0, *(
+            max(m) for d in divisors for m in d.terms)]))
+        pack = self.packing.pack
+        self.data = []
+        for i, d in enumerate(divisors):
+            if d:
+                le = d.leading_exps(order)
+                lc = d.terms[le]
+                self.data.append((i, *pack(le), None if lc == one else fld.inv(lc),
+                                  [(*pack(m), _working(fld, c))
+                                   for m, c in d.terms.items() if m != le]))
 
     def _repack(self, bound):
-        # the narrowest packing that holds bound and every divisor
-        bound = max([bound, *(max(m) for d in self.polys for m in d.terms)])
-        self.packing = self.order.packing(self.ring.nvars, bound)
-        self.data = [self._pack(i, d) for i, d in enumerate(self.polys) if d]
+        """Move every divisor to the narrowest packing that holds ``bound``."""
+        old = self.packing
+        new = self.packing = self.order.packing(self.ring.nvars, bound)
+        move = lambda e: new.pack(old.unpack(e))     # noqa: E731
+        self.data = [(i, *move(e), inv, [(*move(te), c) for _, te, c in tail])
+                     for i, _, e, inv, tail in self.data]
 
-    def _pack(self, i, d):
-        fld, pack = self.ring.field, self.packing.pack
-        le = d.leading_exps(self.order)
-        lc = d.terms[le]
-        return (i, *pack(le), None if lc == fld.one() else fld.inv(lc),
-                [(*pack(m), _working(fld, c)) for m, c in d.terms.items() if m != le])
+    def _poly(self, terms) -> Polynomial:
+        """The Polynomial of [(E, working coefficient)] terms."""
+        unpack, back = self.packing.unpack, self._back
+        return Polynomial(self.ring, {unpack(e): back(c) for e, c in terms})
 
-    def add(self, d: Polynomial):
-        """Append a nonzero divisor that fits the packing, as a remainder of
-        this reducer does: every term it holds passed the overflow checks."""
-        self.polys.append(d)
-        self.data.append(self._pack(len(self.polys) - 1, d))
+    def reduced(self, i: int) -> Polynomial:
+        """Monic divisor i, with no zero divisor before it, as lt(g_i) plus
+        the normal form of its tail.  For a Groebner basis and a minimal
+        lt(g_i) this is the reduced basis's element: lt(g_i) divides no
+        tail term, each being smaller, and a normal form modulo a Groebner
+        basis is unique, whichever basis of the ideal divides."""
+        remainder = self._divide(lambda: self.data[i][4])[1]
+        return self._poly([(self.data[i][2], self._one), *((e, c) for _, e, c in remainder)])
 
     def reduce(self, f: Polynomial, with_quotients=False):
         """(quotients or None, remainder) of f on division by the divisors,
         each step using the first that divides."""
         self.ring.check(f)
         fld = self.ring.field
-        return self._divide(lambda: [(*self.packing.pack(m), _working(fld, c))
-                                     for m, c in f.terms.items()], None, with_quotients)
+        quotients, remainder = self._divide(
+            lambda: [(*self.packing.pack(m), _working(fld, c)) for m, c in f.terms.items()],
+            None, with_quotients)
+        return ([self._poly(q.items()) for q in quotients] if with_quotients else None,
+                self._poly((e, c) for _, e, c in remainder))
 
-    def pair(self, i: int, j: int, lcm: tuple[int, ...]) -> Polynomial:
-        """The remainder of spoly(g_i, g_j), for monic divisors with no
-        zero divisor before them: the pending terms start as
-        x^(lcm - lt g_i) g_i, and the first step takes g_j."""
+    def pair(self, i: int, j: int, lcm: tuple[int, ...]) -> bool:
+        """Reduce spoly(g_i, g_j), for monic divisors with no zero divisor
+        before them: the pending terms start as x^(lcm - lt g_i) g_i, and
+        the first step takes g_j.  A nonzero remainder is made monic and
+        appended as divisor ``count``, still in working form; True when
+        one was."""
         def start():
             k, e = self.packing.pack(lcm)
             _, ki, ei, _, tail = self.data[i]
             pending = [(tk + k - ki, te + e - ei, c) for tk, te, c in tail]
             if any(te & self.packing.guard for _, te, _ in pending):
                 raise OverflowError     # K is one-to-one only below the limit
-            return [(k, e, 1 if self.ring.field.p else (1, 1)), *pending]
-        return self._divide(start, j)[1]
+            return [(k, e, self._one), *pending]
+        remainder = self._divide(start, j)[1]
+        if not remainder:
+            return False
+        (k, e, lc), *tail = remainder
+        fld, back = self.ring.field, self._back
+        if lc != self._one:
+            inv = fld.inv(back(lc))
+            tail = [(tk, te, _working(fld, fld.mul(back(c), inv))) for tk, te, c in tail]
+        self.data.append((self.count, k, e, None, tail))
+        self.count += 1
+        return True
 
     def _divide(self, start, first=None, with_quotients=False):
         """Divide the pending [(K, E, coeff)] terms that ``start`` packs;
@@ -112,20 +146,22 @@ class _Divisors:
             return self._divide(start, first, with_quotients)
 
     def _steps(self, pending, first, with_quotients):
+        """(quotients as {E: coeff} per divisor or None, the remainder as
+        [(K, E, coeff)] with K decreasing), all in working form."""
         fld = self.ring.field
         mod = fld.p
         heappush, heappop = heapq.heappush, heapq.heappop
         cap = term_cap()
         guard = self.packing.guard
-        back = (lambda c: c) if mod else (lambda c: Fraction(*c))
+        back = self._back
         p = {k: c for k, _, c in pending}        # K -> coefficient of the pending terms
         exps = {k: e for k, e, _ in pending}     # K -> E
         data = self.data
         scan = data if first is None else [data[first]]
-        quotients = [{} for _ in self.polys]
+        quotients = [{} for _ in range(self.count)] if with_quotients else None
         heap = [-k for k in p]
         heapq.heapify(heap)
-        remainder: dict = {}
+        remainder = []
         while heap:
             k = -heappop(heap)
             lc = p.pop(k, None)
@@ -174,16 +210,13 @@ class _Divisors:
                         del p[m]
                 break
             else:
-                remainder[e] = lc
+                remainder.append((k, e, lc))
             scan = data
             if len(p) > cap:
                 raise TermCapExceededError(
                     f"reduction intermediate exceeds the term cap ({cap}); "
                     "set VANISH_TERM_CAP to raise it")
-        unpack, ring = self.packing.unpack, self.ring
-        return ([Polynomial(ring, {unpack(e): back(c) for e, c in q.items()}) for q in quotients]
-                if with_quotients else None,
-                Polynomial(ring, {unpack(e): back(c) for e, c in remainder.items()}))
+        return quotients, remainder
 
 
 def divmod_poly(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
@@ -213,12 +246,19 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Pair selection follows the normal strategy (smallest lcm first): the
-    pair queue is a heap keyed once per pair, at the reducer's packing, by
-    the packed K of its lcm, ties broken by ``(i, j)``.  Pairs with coprime
-    leading monomials are discarded outright, and the chain criterion drops
-    a pair when a third basis element divides its lcm and both side pairs
-    are already handled.
+    Pairs leave the queue by sugar (Giovini, Mora, Niesi, Robbiano and
+    Traverso, 1991), then K(lcm), then (i, j).  A generator's sugar is its
+    degree, a new element's the larger of its degree and its pair's sugar,
+    and a pair's is deg lcm plus the larger excess of its elements' sugar
+    over their leading degree.  Each new element h runs the Gebauer-Moeller
+    update (1988) once, on the packed Es of the leading monomials: it drops
+    a new pair (i, h) whose lcm another new lcm properly divides (M), or
+    an earlier one equals (F), or equals a coprime one's; a queued pair
+    (i, j) whose lcm lt h divides and neither lcm(lt g_i, lt h) nor
+    lcm(lt g_j, lt h) equals (B), unless h's excess passes the pair's,
+    so that no pair is traded for ones of higher sugar; and it takes the
+    elements whose leading monomial lt h divides out of the pairing, not
+    out of the reducer.
     """
     G = [g for g in gens if not g.is_zero()]
     ring.check(*G)
@@ -230,79 +270,63 @@ def buchberger(ring: PolyRing, gens, order: MonomialOrder = GREVLEX) -> list[Pol
     G = [g.monic(order) for g in G]
     if any(g.is_constant() for g in G):
         return [ring.one()]
-    lead = [g.leading_exps(order) for g in G]
     divisors = _Divisors(ring, order, G)
-    packing = divisors.packing      # the packing the queue is keyed at
-    queue = []      # heap of (K(lcm), (i, j), E(lcm))
-    pairs = set()   # the pending pairs, as the chain criterion reads them
+    lead = [g.leading_exps(order) for g in G]
+    excess = [g.total_degree() - sum(le) for g, le in zip(G, lead)]    # sugar - deg lt
+    active = []     # the elements whose leading monomial no later one divides
+    queue = []      # heap of (sugar, K(lcm), i, j, E(lcm), lcm)
 
-    def keyed(k, t):
-        kl, el = divisors.packing.pack(monomial_lcm(lead[k], lead[t]))
-        return kl, (k, t), el
+    def keyed(sugar, i, j, lcm):
+        k, e = divisors.packing.pack(lcm)
+        return sugar, k, i, j, e, lcm
 
-    def add_pairs(t):
-        for k in range(t):
-            heapq.heappush(queue, keyed(k, t))
-            pairs.add((k, t))
+    def update(h):
+        packing, data = divisors.packing, divisors.data
+        guard, lcm_e, eh = packing.guard, packing.lcm, data[h][2]
+        left = [q for q in queue if (q[4] - eh) & guard
+                or lcm_e(data[q[2]][2], eh) == q[4] or lcm_e(data[q[3]][2], eh) == q[4]
+                or excess[h] > max(excess[q[2]], excess[q[3]])]
+        if len(left) < len(queue):
+            queue[:] = left
+            heapq.heapify(queue)
+        news = [lcm_e(data[i][2], eh) for i in active]      # E of lcm(lt g_i, lt h)
+        kept = {}       # E(lcm) -> (the first i with it, whether one is coprime)
+        for i, l in zip(active, news):
+            if not any(m != l and not (l - m) & guard for m in news):
+                first, coprime = kept.get(l, (i, False))
+                kept[l] = first, coprime or l == data[i][2] + eh
+        for i, coprime in kept.values():
+            if not coprime:
+                lcm = monomial_lcm(lead[i], lead[h])
+                heapq.heappush(queue, keyed(max(excess[i], excess[h]) + sum(lcm), i, h, lcm))
+        active[:] = [i for i in active if (data[i][2] - eh) & guard] + [h]
 
-    for t in range(len(G)):
-        add_pairs(t)
+    for h in range(len(G)):
+        update(h)
     while queue:
+        packing = divisors.packing
+        sugar, _, i, j, _, lcm = heapq.heappop(queue)
+        added = divisors.pair(i, j, lcm)
         if divisors.packing is not packing:
             # the reducer widened: re-key the queue; the pairs keep their order
-            packing = divisors.packing
-            queue = [keyed(k, t) for _, (k, t), _ in queue]
+            queue[:] = [keyed(q[0], q[2], q[3], q[5]) for q in queue]
             heapq.heapify(queue)
-        _, (i, j), l = heapq.heappop(queue)
-        pairs.discard((i, j))
-        data = divisors.data
-        if l == data[i][2] + data[j][2]:
-            continue        # coprime leading monomials
-        if any(
-            not (l - e) & packing.guard and k != i and k != j
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k, _, e, _, _ in data
-        ):
-            continue
-        r = divisors.pair(i, j, monomial_lcm(lead[i], lead[j]))
-        if r.is_zero():
-            continue
-        if r.is_constant():
-            return [ring.one()]
-        r = r.monic(order)
-        lead.append(r.leading_exps(order))
-        divisors.add(r)
-        add_pairs(len(lead) - 1)
+        if added:
+            _, _, e, _, tail = divisors.data[-1]
+            if not e:
+                return [ring.one()]
+            unpack = divisors.packing.unpack
+            lead.append(unpack(e))
+            # the new element's degree, which in an order that does not rank
+            # degree first may pass the pair's sugar, bounds its sugar below
+            sugar = max(sugar, sum(lead[-1]), *(sum(unpack(te)) for _, te, _ in tail))
+            excess.append(sugar - sum(lead[-1]))
+            update(len(lead) - 1)
 
-    # interreduction keeps each leading monomial, so the order stays
-    return _interreduce(_minimalize(divisors.polys, lead, order), divisors)[::-1]
-
-
-def _minimalize(G, lead, order):
-    """The first element of G for each minimal leading monomial, smallest
-    first; ``lead[i]`` is the leading monomial of G[i]."""
-    first: dict = {}
-    for g, le in zip(G, lead):
-        first.setdefault(le, g)
-    return [first[e] for e in sorted(minimal_exponents(first), key=order.key)]
-
-
-def _interreduce(M, divisors):
-    """The reduced basis, in one pass, from a monic minimal basis M and
-    the reducer of a Groebner basis of the same ideal.
-
-    Each g becomes lt(g) plus the normal form of its tail.  No tail term
-    is divisible by lt(g), which exceeds it, so lt(g) stays leading; and a
-    normal form modulo a Groebner basis is unique, whichever basis of the
-    ideal divides, so this is the one element of the ideal with leading
-    monomial lt(g) and every other term irreducible.
-    """
-    out = []
-    for g in M:
-        lt = g.ring.monomial(g.leading_exps(divisors.order))
-        out.append(lt + divisors.reduce(g - lt)[1])
-    return out
+    # the active leading monomials include every minimal one, once each
+    first = {lead[i]: i for i in active}
+    return [divisors.reduced(first[e])
+            for e in sorted(minimal_exponents(first), key=order.key, reverse=True)]
 
 
 @dataclass(frozen=True)
@@ -317,6 +341,14 @@ class GroebnerBasis:
     def _divisors(self) -> _Divisors:
         # kept out of the fields: equality, hashing and pickling ignore it
         return _Divisors(self.ring, self.order, self.polys)
+
+    @classmethod
+    def from_minimal(cls, ring: PolyRing, order: MonomialOrder, basis) -> "GroebnerBasis":
+        """The reduced basis, in one interreduction pass, from a monic
+        Groebner basis whose leading monomials form an antichain; each
+        element keeps its leading monomial and its place."""
+        divisors = _Divisors(ring, order, basis)
+        return cls(ring, order, tuple(divisors.reduced(i) for i in range(len(basis))))
 
     def __getstate__(self):
         return {"ring": self.ring, "order": self.order, "polys": self.polys}

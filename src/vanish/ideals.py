@@ -231,8 +231,12 @@ class Ideal:
                 tuple(max(x - y, 0) for x, y in zip(e, a))
                 for e in self.monomial_exponents()])
         inter = self.intersect(Ideal(self.ring, [f]))
-        # every generator of I cap (f) is a multiple of f
-        return Ideal(self.ring, [divide_exact(g, f).monic() for g in inter.gens])
+        # every element of the reduced basis of I cap (f) is a multiple of
+        # f, and the quotients are a Groebner basis of I : f whose leading
+        # monomials are theirs over lt(f): an antichain, in the same order
+        out = Ideal(self.ring, [divide_exact(g, f).monic() for g in inter.groebner_basis()])
+        out._gb_cache[GREVLEX] = GroebnerBasis.from_minimal(self.ring, GREVLEX, out.gens)
+        return out
 
     def saturate(self, f: Polynomial) -> tuple["Ideal", int]:
         """(I : f^infinity, saturation index).

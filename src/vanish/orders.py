@@ -108,7 +108,7 @@ class Packing:
     width."""
 
     def __init__(self, nvars: int, width: int, key):
-        self.limit = 1 << width
+        self.width, self.limit = width, 1 << width
         self.shifts = range(0, (width + 1) * nvars, width + 1)
         self.guard = sum(self.limit << s for s in self.shifts)
         self._ew = [1 << s for s in self.shifts]
@@ -125,6 +125,13 @@ class Packing:
         if max(exps) >= self.limit:
             raise OverflowError(f"exponent past {self.limit - 1} in {exps}")
         return sum(map(mul, exps, self._kw)), sum(map(mul, exps, self._ew))
+
+    def lcm(self, a: int, b: int) -> int:
+        """E of the lcm of the monomials whose Es are a and b: a guard bit
+        of (a | guard) - b is set where a's exponent is at least b's."""
+        g = ((a | self.guard) - b) & self.guard
+        keep = g - (g >> self.width)    # every bit of those fields
+        return a & keep | b & ~keep
 
     def unpack(self, e: int) -> tuple[int, ...]:
         """The exponent tuple whose E is ``e``."""

@@ -407,7 +407,7 @@ def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(y - x for x, y in zip(a, b))
 
 def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility-minimal tuples of ``exps``, once each, ordered by

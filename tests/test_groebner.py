@@ -209,9 +209,8 @@ class TestReductionWork:
         assert len(reduced) > 2
         # adding the next smaller element keeps each leading monomial
         minimal = [reduced[0]] + [g + 2 * h for g, h in zip(reduced[1:], reduced)]
-        calls = count_divisor_calls(monkeypatch, "reduce")
-        divisors = groebner._Divisors(ring, GREVLEX, minimal)
-        assert groebner._interreduce(minimal, divisors) == reduced
+        calls = count_divisor_calls(monkeypatch, "_steps")
+        assert list(GroebnerBasis.from_minimal(ring, GREVLEX, minimal)) == reduced
         assert len(calls) == len(reduced)
 
     @pytest.mark.parametrize("field", ["QQ", "GF"])
@@ -354,15 +353,45 @@ def s_pair_problems(draw):
     return G, order, draw(st.integers(0, j - 1)), j
 
 
+def s_pair_routes(G, order, i, j) -> list:
+    """The element the pair set-up inside the reducer appends for (i, j),
+    zero when it appends none, and the monic normal form of the
+    polynomial-arithmetic spoly; TermCapExceededError for a route that
+    passes the term cap.  The appended element is read through
+    ``reduced``, which leaves its already irreducible tail as it is."""
+    ring = G[0].ring
+
+    def pair():
+        divisors = groebner._Divisors(ring, order, G)
+        lcm = monomial_lcm(G[i].leading_exps(order), G[j].leading_exps(order))
+        return divisors.reduced(len(G)) if divisors.pair(i, j, lcm) else ring.zero()
+
+    out = []
+    for route in (pair, lambda: normal_form(spoly(G[i], G[j], order), G, order).monic(order)):
+        try:
+            out.append(route())
+        except TermCapExceededError:
+            out.append(TermCapExceededError)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(s_pair_problems())
 def test_s_pair_route_matches_spoly(problem):
-    # the pair set-up inside the reducer and the polynomial-arithmetic
-    # spoly give the same remainder
-    G, order, i, j = problem
-    lcm = monomial_lcm(G[i].leading_exps(order), G[j].leading_exps(order))
-    pair = groebner._Divisors(G[0].ring, order, G).pair(i, j, lcm)
-    assert pair == normal_form(spoly(G[i], G[j], order), G, order)
+    # both routes give the same remainder, or both pass the term cap
+    pair, reference = s_pair_routes(*problem)
+    assert pair == reference
+
+
+def test_s_pair_routes_both_pass_the_term_cap(low_term_cap):
+    # a draw of the test above whose remainder grows past the default cap
+    # on both routes, through genuine lex growth, after seconds each
+    ring = R4["GF"]
+    G = [ring.parse(t).monic(LEX) for t in (
+        "11860*w^128*y^128*z^128 + w^128*x*y^128*z + 29635*w^128*x*y^128 + 6343*y^128*z^128",
+        "x^128*y + 21669")]
+    low_term_cap(1000)
+    assert s_pair_routes(G, LEX, 0, 1) == [TermCapExceededError] * 2
 
 
 class TestSPolynomial:
@@ -376,6 +405,43 @@ class TestSPolynomial:
         x, y = r2.gens()
         f = x**2 + y
         assert spoly(f, f, GREVLEX).is_zero()
+
+
+def katsura(ring) -> list:
+    """The katsura system on the ring's n + 1 variables u_0..u_n, with
+    u_-l = u_l and u_l = 0 for |l| > n: sum_l u_l u_(m-l) = u_m for
+    m < n, and sum_l u_l = 1."""
+    n = ring.nvars - 1
+    u = lambda l: ring.gens()[abs(l)] if abs(l) <= n else ring.zero()   # noqa: E731
+    span = range(-n, n + 1)
+    return ([sum((u(l) * u(m - l) for l in span), start=-u(m)) for m in range(n)]
+            + [sum((u(l) for l in span), start=-ring.one())])
+
+
+@st.composite
+def basis_problems(draw):
+    """One to three sparse generators in x, y, z over QQ or GF(32003), and
+    an order that does not rank degree first."""
+    ring = PolyRing(draw(st.sampled_from([QQ, GF(GF_PRIME)])), ("x", "y", "z"))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                            st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    gens = [ring.from_terms(t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    order = draw(st.sampled_from([LEX, elimination_order(1), elimination_order(2, "lex"),
+                                  MonomialOrder("block", elim=(1,), inner="lex")]))
+    return ring, gens, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(basis_problems())
+def test_lex_and_block_bases_are_reduced_and_span_the_ideal(problem):
+    # the sugar queue and the Gebauer-Moeller update keep every S-pair
+    # that the certificate needs
+    ring, gens, order = problem
+    gb = GroebnerBasis(ring, order, tuple(buchberger(ring, gens, order)))
+    assert gb.is_reduced() and gb.check_certificate()
+    assert all(gb.contains(f) for f in gens)
+    grevlex = Ideal(ring, gens).groebner_basis(GREVLEX)
+    assert all(grevlex.contains(g) for g in gb)
 
 
 def count_divisor_calls(monkeypatch, name) -> list:
@@ -445,16 +511,29 @@ class TestBuchberger:
 
     def test_curated_sp2_suite_pair_count(self, monkeypatch):
         # Which S-polynomials get formed depends on the order pairs leave
-        # the queue, on the chain criterion's view of pending pairs and on
-        # which ideals are monomial (those take the closed forms), so this
-        # machine-independent count of S-pairs handed to the reducer pins
-        # all three.
+        # the queue (sugar, then lcm), on the pairs the Gebauer-Moeller
+        # update drops as each element arrives, and on which ideals come
+        # with their reduced basis (monomial ideals by the closed forms,
+        # eliminations and colons by hand-over), so this machine-independent
+        # count of S-pairs handed to the reducer pins all three.
         calls = count_divisor_calls(monkeypatch, "pair")
         for _, p, q in curated_sp2_pairs():
             for m in (1, 2):
                 for n in (1, 2):
                     verify_sp2(p, q, m, n)
-        assert len(calls) == 939
+        assert len(calls) == 758
+
+    def test_lex_katsura4_pair_count(self, monkeypatch):
+        # lex katsura-4 over GF(32003): a system that is not degree-ranked,
+        # where smallest-lcm-first selection took seconds; its basis is
+        # u0 - ..., u1 - ..., u2 - ..., u3 - ... and a degree-16 u4-polynomial
+        ring = PolyRing(GF(GF_PRIME), ("u0", "u1", "u2", "u3", "u4"))
+        calls = count_divisor_calls(monkeypatch, "pair")
+        gb = buchberger(ring, katsura(ring), LEX)
+        assert len(calls) == 66
+        assert [g.leading_exps(LEX) for g in gb] == [
+            (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 16)]
+        assert GroebnerBasis(ring, LEX, tuple(gb)).check_certificate()
 
     def test_monomial_inputs_form_no_s_polynomials(self, monkeypatch):
         # Monomial ideals take the closed forms (bases, intersections,

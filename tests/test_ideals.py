@@ -438,6 +438,18 @@ def test_eliminate_hands_over_its_reduced_basis(problem):
     assert list(sub.groebner_basis().polys) == ideals.buchberger(sub.ring, sub.gens, GREVLEX)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_elimination_draw_gives_the_zero_ideal(field):
+    # a draw of the test above that ran past 60 s when pairs were taken
+    # smallest lcm first
+    ring = PolyRing(field, ("w", "x", "y", "z"))
+    ideal = Ideal(ring, [ring.parse(f) for f in (
+        "-3*w^2*x^2*z^2 - 2*w*x*y*z - 2*x*z", "w^2*x*y*z + 3*w*x*y + w",
+        "-2*w^2*z^2 - x^2*z^2 + 3*w")])
+    sub = ideal.eliminate(["w", "x"])
+    assert sub.ring.variables == ("y", "z") and sub.is_zero()
+
+
 def test_monomial_closed_forms_hand_over_their_reduced_basis(r3, monkeypatch):
     x, y, z = r3.gens()
     I, J = Ideal(r3, [x**2, x * y, y**3]), Ideal(r3, [y**2, z])
@@ -454,6 +466,24 @@ def test_monomial_closed_forms_hand_over_their_reduced_basis(r3, monkeypatch):
     bases = [list(K.groebner_basis().polys) for K in results]
     assert calls == []
     assert bases == [orig(r3, K.gens, GREVLEX) for K in results]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+def test_colon_hands_over_its_reduced_basis(field, monkeypatch):
+    # the quotients of the reduced basis of I cap (f), interreduced once,
+    # are the reduced basis of I : f, read with no Buchberger run
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    curve = Ideal(ring, [y**2 - x * z, x**2 * y - z**2, x**3 - y * z])
+    cases = [(curve, x + y), (curve * curve, 3 * x - 2 * z),
+             (Ideal(ring, [x**3, x * y * (x + y)]), 2 * x - 2 * y)]
+    results = [I.colon(f) for I, f in cases]
+    calls = []
+    orig = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda *args: calls.append(args) or orig(*args))
+    bases = [list(K.groebner_basis().polys) for K in results]
+    assert calls == []
+    assert bases == [orig(ring, K.gens, GREVLEX) for K in results]
 
 
 class TestCoordinatePrime:
