@@ -4,16 +4,20 @@ Division has one loop, in ``_Divisors``, the one owner of the reducer's
 working form.  Monomials are the packed ints of :mod:`vanish.orders`: a
 heap of -K ints orders the pending terms, the guard bits of an E
 difference test divisibility, and a multiple of a divisor term costs two
-integer additions.  Coefficients are (numerator, denominator) pairs in
-lowest terms over QQ, stepped by Henrici's gcd steps as ``Fraction``
-does, and ints reduced mod p inline over GF(p).  Divisors are packed
-once, at a width that only grows: an overflow repacks them at twice the
-width and starts the division over.  :func:`divmod_poly` and
-:func:`normal_form` build a ``_Divisors`` per call, a :class:`GroebnerBasis`
-one for its life, and :func:`buchberger` one for its basis, in which an
-S-pair starts as x^(L - lt g_i) g_i with its first step forced onto g_j
-and its remainder, made monic, stays there in working form as the next
-element; only the final basis is built as polynomials.
+integer additions.  Coefficients are ints, reduced mod p inline over
+GF(p).  Over QQ division is fraction-free, as in Collins's primitive
+pseudo-remainder (J. ACM 14, 1967): each divisor is kept as its
+primitive integer multiple and a division carries one integer scale, so
+no step takes a gcd per term, and a ``Fraction`` is built only for each
+term of a result.  Divisors are packed once, at a width that only
+grows: an overflow repacks them at twice the width and starts the
+division over.  :func:`divmod_poly` and :func:`normal_form` build a
+``_Divisors`` per call, a :class:`GroebnerBasis` one for its life, and
+:func:`buchberger` one for its basis, in which an S-pair starts as
+x^(L - lt g_i) g_i with its first step forced onto g_j and its
+remainder stays there in working form as the next element, primitive
+over QQ and monic over GF(p); only the final basis is built as
+polynomials.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .config import term_cap
 from .errors import TermCapExceededError
@@ -47,113 +51,141 @@ from .poly import (
 )
 
 
-def _working(fld, c):
-    """c in the reducer's working form: a (numerator, denominator) pair in
-    lowest terms over QQ, the int itself over GF(p)."""
-    return c if fld.p else (c.numerator, c.denominator)
-
-
 class _Divisors:
-    """Divisors in working form: ``data`` has (index, K, E, 1/lc or None
-    when lc is 1, [(K, E, coeff) of the tail]) for each nonzero divisor,
-    all at ``packing``, whose width only grows."""
+    """Divisors in working form: ``data`` has (index, K, E, s, [(K, E, c)
+    of the tail]) for each nonzero divisor, all at ``packing``, whose width
+    only grows.  Over QQ a divisor is kept as its primitive integer
+    multiple (content 1) and s > 0 is its leading coefficient; over GF(p)
+    the coefficients are ints mod p and s is 1/lc, or None when lc is 1."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=()):
         divisors = list(divisors)
         ring.check(*divisors)
         self.ring, self.order, self.count = ring, order, len(divisors)
-        fld, one = ring.field, ring.field.one()
-        self._one = _working(fld, one)
-        self._back = (lambda c: c) if fld.p else (lambda c: Fraction(*c))
         self.packing = order.packing(ring.nvars, max([0, *(
             max(m) for d in divisors for m in d.terms)]))
         pack = self.packing.pack
-        self.data = []
+        self.data, self.units = [], []      # units[i] = (n, d): data holds divisor i times n/d
         for i, d in enumerate(divisors):
+            unit = (1, 1)
             if d:
                 le = d.leading_exps(order)
-                lc = d.terms[le]
-                self.data.append((i, *pack(le), None if lc == one else fld.inv(lc),
-                                  [(*pack(m), _working(fld, c))
-                                   for m, c in d.terms.items() if m != le]))
+                lc, terms = d.terms[le], d.terms
+                if ring.field.p:
+                    s = None if lc == 1 else ring.field.inv(lc)
+                else:
+                    # d times den/g is primitive, den being the lcm of its
+                    # denominators and g the gcd of its numerators, signed
+                    # like lc: den/g times a numerator over its denominator
+                    den = lcm(*(c.denominator for c in terms.values()))
+                    g = gcd(*(c.numerator for c in terms.values())) * (1 if lc > 0 else -1)
+                    terms = {m: c.numerator // g * (den // c.denominator)
+                             for m, c in terms.items()}
+                    s, unit = terms[le], (den, g)
+                self.data.append((i, *pack(le), s,
+                                  [(*pack(m), c) for m, c in terms.items() if m != le]))
+            self.units.append(unit)
 
     def _repack(self, bound):
         """Move every divisor to the narrowest packing that holds ``bound``."""
         old = self.packing
         new = self.packing = self.order.packing(self.ring.nvars, bound)
         move = lambda e: new.pack(old.unpack(e))     # noqa: E731
-        self.data = [(i, *move(e), inv, [(*move(te), c) for _, te, c in tail])
-                     for i, _, e, inv, tail in self.data]
+        self.data = [(i, *move(e), s, [(*move(te), c) for _, te, c in tail])
+                     for i, _, e, s, tail in self.data]
 
-    def _poly(self, terms) -> Polynomial:
-        """The Polynomial of [(E, working coefficient)] terms."""
-        unpack, back = self.packing.unpack, self._back
-        return Polynomial(self.ring, {unpack(e): back(c) for e, c in terms})
+    def _poly(self, terms, unit=(1, 1)) -> Polynomial:
+        """The Polynomial of [(E, c, S)] terms: c over GF(p), and c n / (S d)
+        over QQ, with (n, d) the ``unit``."""
+        unpack = self.packing.unpack
+        if self.ring.field.p:
+            return Polynomial(self.ring, {unpack(e): c for e, c, _ in terms})
+        n, d = unit
+        return Polynomial(self.ring, {unpack(e): Fraction(c * n, S * d) for e, c, S in terms})
 
     def reduced(self, i: int) -> Polynomial:
-        """Monic divisor i, with no zero divisor before it, as lt(g_i) plus
-        the normal form of its tail.  For a Groebner basis and a minimal
-        lt(g_i) this is the reduced basis's element: lt(g_i) divides no
-        tail term, each being smaller, and a normal form modulo a Groebner
-        basis is unique, whichever basis of the ideal divides."""
+        """Divisor i made monic, with no zero divisor before it and monic
+        already over GF(p), as lt(g_i) plus the normal form of its tail.
+        For a Groebner basis and a minimal lt(g_i) this is the reduced
+        basis's element: lt(g_i) divides no tail term, each being smaller,
+        and a normal form modulo a Groebner basis is unique, whichever
+        basis of the ideal divides."""
         remainder = self._divide(lambda: self.data[i][4])[1]
-        return self._poly([(self.data[i][2], self._one), *((e, c) for _, e, c in remainder)])
+        _, _, e, s, _ = self.data[i]
+        s = 1 if self.ring.field.p else s       # the tail over QQ is s times g_i's
+        return self._poly([(e, 1, 1), *((te, c, S * s) for _, te, c, S in remainder)])
 
     def reduce(self, f: Polynomial, with_quotients=False):
         """(quotients or None, remainder) of f on division by the divisors,
-        each step using the first that divides."""
+        each step using the first that divides.  Over QQ, f enters as its
+        multiple over the lcm of its denominators."""
         self.ring.check(f)
-        fld = self.ring.field
+        scale, terms = 1, f.terms
+        if not self.ring.field.p:
+            scale = lcm(*(c.denominator for c in terms.values()))
+            terms = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
         quotients, remainder = self._divide(
-            lambda: [(*self.packing.pack(m), _working(fld, c)) for m, c in f.terms.items()],
-            None, with_quotients)
-        return ([self._poly(q.items()) for q in quotients] if with_quotients else None,
-                self._poly((e, c) for _, e, c in remainder))
+            lambda: [(*self.packing.pack(m), c) for m, c in terms.items()],
+            None, with_quotients, scale)
+        return ([self._poly(((e, *q) for e, q in qs.items()), u)
+                 for qs, u in zip(quotients, self.units)] if with_quotients else None,
+                self._poly((e, c, S) for _, e, c, S in remainder))
 
     def pair(self, i: int, j: int, lcm: tuple[int, ...]) -> bool:
-        """Reduce spoly(g_i, g_j), for monic divisors with no zero divisor
-        before them: the pending terms start as x^(lcm - lt g_i) g_i, and
-        the first step takes g_j.  A nonzero remainder is made monic and
-        appended as divisor ``count``, still in working form; True when
-        one was."""
+        """Reduce spoly(g_i, g_j), for divisors with no zero divisor before
+        them and, over GF(p), monic: the pending terms start as
+        x^(lcm - lt g_i) g_i, and the first step takes g_j.  A nonzero
+        remainder, made primitive over QQ and monic over GF(p), is appended
+        as divisor ``count``; True when one was."""
+        mod = self.ring.field.p
+
         def start():
             k, e = self.packing.pack(lcm)
-            _, ki, ei, _, tail = self.data[i]
+            _, ki, ei, s, tail = self.data[i]
             pending = [(tk + k - ki, te + e - ei, c) for tk, te, c in tail]
             if any(te & self.packing.guard for _, te, _ in pending):
                 raise OverflowError     # K is one-to-one only below the limit
-            return [(k, e, self._one), *pending]
+            return [(k, e, 1 if mod else s), *pending]
         remainder = self._divide(start, j)[1]
         if not remainder:
             return False
-        (k, e, lc), *tail = remainder
-        fld, back = self.ring.field, self._back
-        if lc != self._one:
-            inv = fld.inv(back(lc))
-            tail = [(tk, te, _working(fld, fld.mul(back(c), inv))) for tk, te, c in tail]
-        self.data.append((self.count, k, e, None, tail))
+        if mod:
+            (k, e, lc, _), *rest = remainder
+            inv = pow(lc, -1, mod)
+            s, tail = None, [(tk, te, c * inv % mod) for tk, te, c, _ in rest]
+        else:
+            # over the last term's scale, which every earlier one divides
+            top = remainder[-1][3]
+            nums = [c * (top // S) for _, _, c, S in remainder]
+            g = gcd(*nums) if nums[0] > 0 else -gcd(*nums)
+            (k, e, _, _), s = remainder[0], nums[0] // g
+            tail = [(tk, te, c // g) for (tk, te, _, _), c in zip(remainder[1:], nums[1:])]
+        self.data.append((self.count, k, e, s, tail))
         self.count += 1
         return True
 
-    def _divide(self, start, first=None, with_quotients=False):
-        """Divide the pending [(K, E, coeff)] terms that ``start`` packs;
-        the first step takes divisor ``first`` when given.  An overflow, in
-        ``start`` or in a product, widens the packing and starts over."""
+    def _divide(self, start, first=None, with_quotients=False, scale=1):
+        """Divide the pending [(K, E, c)] terms that ``start`` packs, c
+        being ints that stand for c / ``scale`` over QQ; the first step
+        takes divisor ``first`` when given.  An overflow, in ``start`` or
+        in a product, widens the packing and starts over."""
         try:
-            return self._steps(start(), first, with_quotients)
+            return self._steps(start(), scale, first, with_quotients)
         except OverflowError:
             self._repack(self.packing.limit)
-            return self._divide(start, first, with_quotients)
+            return self._divide(start, first, with_quotients, scale)
 
-    def _steps(self, pending, first, with_quotients):
-        """(quotients as {E: coeff} per divisor or None, the remainder as
-        [(K, E, coeff)] with K decreasing), all in working form."""
-        fld = self.ring.field
-        mod = fld.p
+    def _steps(self, pending, scale, first, with_quotients):
+        """(quotients as {E: (c, S)} per divisor or None, the remainder as
+        [(K, E, c, S)] with K decreasing), where (c, S) stands for c over
+        GF(p) and c / S over QQ, S being the scale when the term was made.
+        Over QQ a step by a divisor with leading coefficient s takes p to
+        (s/h) p - (c/h) x^shift tail, c being p's leading coefficient and
+        h = gcd(c, s), and the scale to s/h times itself."""
+        mod = self.ring.field.p
         heappush, heappop = heapq.heappush, heapq.heappop
         cap = term_cap()
         guard = self.packing.guard
-        back = self._back
         p = {k: c for k, _, c in pending}        # K -> coefficient of the pending terms
         exps = {k: e for k, e, _ in pending}     # K -> E
         data = self.data
@@ -168,38 +200,35 @@ class _Divisors:
             if lc is None:
                 continue        # stale: the term cancelled after it was pushed
             e = exps[k]
-            for i, dk, de, inv, tail in scan:
+            for i, dk, de, s, tail in scan:
                 if (e - de) & guard:
                     continue
                 shift_k, shift_e = k - dk, e - de
-                factor = lc if inv is None else _working(fld, fld.mul(back(lc), inv))
+                if mod:
+                    factor = lc if s is None else lc * s % mod
+                else:
+                    h = gcd(lc, s)
+                    if h != s:
+                        a = s // h
+                        for m in p:
+                            p[m] *= a
+                        scale *= a
+                    factor = lc // h
                 if with_quotients:
-                    quotients[i][shift_e] = factor
+                    quotients[i][shift_e] = factor, scale
                 # p -= factor * x^shift * d; the leading term cancels lt.  K
                 # is one-to-one only below the limit, so every product is
                 # checked before its K is looked up
-                factor = -factor if mod else (-factor[0], factor[1])
+                factor = -factor
                 for tk, te, c in tail:
                     me = te + shift_e
                     if me & guard:
                         raise OverflowError
                     m = tk + shift_k
                     old = p.get(m)
+                    v = factor * c if old is None else old + factor * c
                     if mod:
-                        v = (factor * c if old is None else old + factor * c) % mod
-                    else:
-                        # the steps of Fraction's __mul__ and __add__
-                        (n, d), (cn, cd) = factor, c
-                        g1, g2 = gcd(n, cd), gcd(cn, d)
-                        n, d = n // g1 * (cn // g2), d // g2 * (cd // g1)
-                        if old is not None:
-                            on, od = old
-                            g = gcd(od, d)
-                            s = od // g
-                            t = on * (d // g) + n * s
-                            g = gcd(t, g)
-                            n, d = t // g, s * (d // g)
-                        v = (n, d) if n else 0
+                        v %= mod
                     if old is None:
                         p[m] = v
                         exps[m] = me
@@ -210,7 +239,7 @@ class _Divisors:
                         del p[m]
                 break
             else:
-                remainder.append((k, e, lc))
+                remainder.append((k, e, lc, scale))
             scan = data
             if len(p) > cap:
                 raise TermCapExceededError(

@@ -1,7 +1,9 @@
 """Division, S-polynomials, Buchberger, and basis certificates."""
 
 import itertools
+import math
 import pickle
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -21,7 +23,7 @@ from vanish.groebner import (
     spoly,
 )
 from vanish.ideals import Ideal
-from vanish.local import associativity_check, symbolic_power
+from vanish.local import associativity_check, multiplicity_graded, symbolic_power
 from vanish.orders import (
     GREVLEX,
     GRLEX,
@@ -122,6 +124,11 @@ def test_division_matches_naive_oracle(problem):
     assert normal_form(f, divisors, order) == remainder
 
 
+# p/q for |p|, q up to 10**30, both prime to the characteristic over GF
+_BIG = st.integers(-10**30, 10**30).filter(lambda n: n % GF_PRIME)
+BIG_COEFFS = st.builds(Fraction, _BIG, _BIG.map(abs))
+
+
 @st.composite
 def rational_division_problems(draw):
     """Like ``division_problems``, with coefficients p/q for |p|, q up to
@@ -129,12 +136,10 @@ def rational_division_problems(draw):
     that are never monic, so every step scales by an inverse leading
     coefficient."""
     ring = R4[draw(st.sampled_from(sorted(R4)))]
-    big = st.integers(-10**30, 10**30).filter(lambda n: n % GF_PRIME)
-    coeff = st.builds(Fraction, big, big.map(abs))
     monomial = st.tuples(*[st.integers(0, 2)] * 4)
 
     def poly(min_terms, max_terms):
-        terms = draw(st.dictionaries(monomial, coeff, min_size=min_terms,
+        terms = draw(st.dictionaries(monomial, BIG_COEFFS, min_size=min_terms,
                                      max_size=max_terms))
         return ring.from_terms(terms)
 
@@ -239,6 +244,34 @@ class TestReductionWork:
         assert all(g.leading_coefficient(order) == 1 for g in basis)
         assert buchberger(ring, [3*x, ring.zero(), -2*ring.one()], order) == [ring.one()]
         assert calls == []
+
+    def test_fractions_only_leave_the_reducer(self, monkeypatch):
+        # Over QQ the reducer works on integers: an S-pair's remainder is
+        # appended as its primitive part, so Buchberger builds a Fraction
+        # only in ``reduced``, once per term of the final basis, and a
+        # member's membership test, whose remainder is 0, builds none.
+        ring = PolyRing(QQ, ("u0", "u1", "u2", "u3"))
+        callers = []
+
+        def counting(*args):
+            frame, names = sys._getframe(1), set()
+            while frame:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return Fraction(*args)
+
+        monkeypatch.setattr(groebner, "Fraction", counting)
+        basis = buchberger(ring, katsura(ring), GREVLEX)
+        assert any(c.denominator > 1 for g in basis for c in g.terms.values())
+        assert len(callers) == sum(len(g.terms) for g in basis)
+        assert all("reduced" in names and not names & {"pair", "_steps"}
+                   for names in callers)
+        callers.clear()
+        _, u1, _, u3 = ring.gens()
+        gb = GroebnerBasis(ring, GREVLEX, tuple(basis))
+        assert gb.contains(u1 * basis[0] - Fraction(2, 3) * u3 * basis[-1])
+        assert callers == []
 
 
 class TestPackedWidths:
@@ -381,6 +414,37 @@ def test_s_pair_route_matches_spoly(problem):
     # both routes give the same remainder, or both pass the term cap
     pair, reference = s_pair_routes(*problem)
     assert pair == reference
+
+
+@st.composite
+def big_s_pair_problems(draw):
+    """Like ``s_pair_problems``, with exponents 0..2 and the coefficients
+    of ``rational_division_problems``: over QQ the remainder's integer
+    multiple then has content > 1, and its leading coefficient may be
+    negative, before it is made primitive."""
+    ring = R4[draw(st.sampled_from(sorted(R4)))]
+    order = draw(st.sampled_from(DIVISION_ORDERS))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), BIG_COEFFS,
+                            min_size=1, max_size=4)
+    G = [ring.from_terms(t).monic(order)
+         for t in draw(st.lists(terms, min_size=2, max_size=4))]
+    j = draw(st.integers(1, len(G) - 1))
+    return G, order, draw(st.integers(0, j - 1)), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_s_pair_problems())
+def test_s_pair_route_matches_spoly_with_big_coefficients(problem):
+    # and over QQ the appended element is primitive, with a positive
+    # leading coefficient
+    pair, reference = s_pair_routes(*problem)
+    assert pair == reference
+    G, order, i, j = problem
+    divisors = groebner._Divisors(G[0].ring, order, G)
+    lcm = monomial_lcm(G[i].leading_exps(order), G[j].leading_exps(order))
+    if G[0].ring.field.p is None and divisors.pair(i, j, lcm):
+        _, _, _, s, tail = divisors.data[-1]
+        assert s > 0 and math.gcd(s, *(c for _, _, c in tail)) == 1
 
 
 def test_s_pair_routes_both_pass_the_term_cap(low_term_cap):
@@ -534,6 +598,18 @@ class TestBuchberger:
         assert [g.leading_exps(LEX) for g in gb] == [
             (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 16)]
         assert GroebnerBasis(ring, LEX, tuple(gb)).check_certificate()
+
+    def test_grevlex_katsura5_over_the_rationals(self):
+        # real coefficient growth: the fraction-free reducer must give a
+        # Groebner basis with the leading monomials found mod 32003, of a
+        # zero-dimensional ideal with 2^5 solutions
+        ideal, ideal_mod = (Ideal(ring, katsura(ring)) for ring in (
+            PolyRing(field, ("u0", "u1", "u2", "u3", "u4", "u5"))
+            for field in (QQ, GF(GF_PRIME))))
+        gb = ideal.groebner_basis()
+        assert gb.check_certificate()
+        assert gb.leading_term_exponents() == ideal_mod.groebner_basis().leading_term_exponents()
+        assert ideal.dimension() == 0 and multiplicity_graded(ideal) == 32
 
     def test_monomial_inputs_form_no_s_polynomials(self, monkeypatch):
         # Monomial ideals take the closed forms (bases, intersections,
