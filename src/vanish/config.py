@@ -8,6 +8,8 @@ the ``VANISH_TERM_CAP`` environment variable or at runtime.
 
 import os
 
+from .errors import TermCapExceededError
+
 DEFAULT_TERM_CAP = 10**6
 DEFAULT_ORD_CAP = 32
 
@@ -27,3 +29,9 @@ def set_term_cap(value: int) -> None:
     if value <= 0:
         raise ValueError("term cap must be positive")
     _term_cap = value
+
+
+def term_cap_error(what: str, cap: int) -> TermCapExceededError:
+    """The error for a result past ``cap``; ``what`` reads "product exceeds"."""
+    return TermCapExceededError(
+        f"{what} the term cap ({cap}); set VANISH_TERM_CAP to raise it")

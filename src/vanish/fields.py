@@ -1,9 +1,12 @@
 """Coefficient fields: the rationals and prime fields GF(p).
 
+A ``CoefficientField`` holds the domain only: the characteristic, the
+coercion of outside values into the field, zero, one and inverses.
 Rational coefficients are ``fractions.Fraction`` values; prime-field
-coefficients are plain ints reduced into ``[0, p)``.  All arithmetic is
-exact; there is no floating-point path anywhere in the package, and a
-float given as a coefficient is rejected.
+coefficients are plain ints in ``[0, p)``.  Arithmetic is Python's
+``+``, ``-`` and ``*`` on those values, and over GF(p) the caller takes
+each result ``% p``.  All of it is exact; there is no floating-point path
+anywhere in the package, and a float given as a coefficient is rejected.
 """
 
 from __future__ import annotations
@@ -62,17 +65,16 @@ class CoefficientField:
     def coerce(self, value):
         """Normalize an int, Fraction, or string like '2/3' into the field;
         anything else, a float included, is a TypeError."""
-        if isinstance(value, (str, Fraction)):
-            value = Fraction(value)
-        else:
-            value = operator.index(value)
+        if type(value) is not int:      # an int skips Fraction's ABC checks
+            value = (Fraction(value) if isinstance(value, (str, Fraction))
+                     else operator.index(value))
         if self.p is None:
             return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return value % self.p
+        if type(value) is int:
+            return value % self.p
+        if value.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {self.p}")
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def zero(self):
         return Fraction(0) if self.p is None else 0
@@ -80,26 +82,10 @@ class CoefficientField:
     def one(self):
         return Fraction(1) if self.p is None else 1
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, -1, self.p)
-
-    def mul_int(self, a, n: int):
-        """a times an integer scalar (used by differentiation)."""
-        return a * n if self.p is None else (a * n) % self.p
 
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"

@@ -38,8 +38,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
-from .config import term_cap
-from .errors import TermCapExceededError
+from .config import term_cap, term_cap_error
 from .orders import GREVLEX, MonomialOrder
 from .poly import (
     Polynomial,
@@ -241,10 +240,8 @@ class _Divisors:
             else:
                 remainder.append((k, e, lc, scale))
             scan = data
-            if len(p) > cap:
-                raise TermCapExceededError(
-                    f"reduction intermediate exceeds the term cap ({cap}); "
-                    "set VANISH_TERM_CAP to raise it")
+            if len(p) + len(remainder) > cap:
+                raise term_cap_error("reduction intermediate exceeds", cap)
         return quotients, remainder
 
 

@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .config import term_cap
-from .errors import TermCapExceededError, UnitIdealError, ZeroDivisorRequestError
+from .config import term_cap, term_cap_error
+from .errors import UnitIdealError, ZeroDivisorRequestError
 from .groebner import GroebnerBasis, buchberger, divmod_poly
 from .orders import GREVLEX, MonomialOrder
 from .poly import Polynomial, PolyRing, minimal_exponents, monomial_lcm
@@ -170,9 +170,7 @@ class Ideal:
             return Ideal(self.ring, [g ** k for g in self.gens])
         cap = term_cap()
         if math.comb(len(self.gens) + k - 1, k) > cap:
-            raise TermCapExceededError(
-                "ideal power has more generator products than the term cap "
-                f"({cap}); set VANISH_TERM_CAP to raise it")
+            raise term_cap_error("ideal power has more generator products than", cap)
         prods = set()
         for combo in itertools.combinations_with_replacement(self.gens, k):
             p = combo[0]
@@ -344,10 +342,18 @@ def independent_sets(exps, nvars: int, all_sets: bool = True):
     the maximal size is kept.  For the minimal generators of a leading-term
     ideal the size is the dimension of the quotient.  A variable with a
     pure power among the tuples lies in no such set, so it is left out.
+    Such a set misses a variable of every support, so k pairwise-disjoint
+    supports among the other variables bound its size by len(free) - k.
     """
     supports = [frozenset(i for i, e in enumerate(x) if e) for x in exps]
-    free = [i for i in range(nvars) if frozenset((i,)) not in supports]
-    for size in range(len(free), -1, -1):
+    taken = {i for s in supports if len(s) == 1 for i in s}
+    free = [i for i in range(nvars) if i not in taken]
+    bound = len(free)
+    for sup in supports:
+        if taken.isdisjoint(sup):
+            taken |= sup
+            bound -= 1
+    for size in range(bound, -1, -1):
         found = []
         for combo in itertools.combinations(free, size):
             s = set(combo)

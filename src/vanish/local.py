@@ -16,11 +16,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import DEFAULT_ORD_CAP, term_cap
+from .config import DEFAULT_ORD_CAP, term_cap, term_cap_error
 from .errors import (
     NonHomogeneousError,
     OrdSearchCapError,
-    TermCapExceededError,
     UncertifiedSymbolicPowerError,
     UnitIdealError,
     WitnessError,
@@ -106,9 +105,7 @@ def _series(antichain: tuple[tuple[int, ...], ...], nvars: int) -> HilbertData:
     cap is refused before any is formed."""
     cap = term_cap()
     if sum(map(max, zip(*antichain))) >= cap:
-        raise TermCapExceededError(
-            "Hilbert numerator has more coefficients than the term cap "
-            f"({cap}); set VANISH_TERM_CAP to raise it")
+        raise term_cap_error("Hilbert numerator has more coefficients than", cap)
     h = _hilbert_numerator(antichain)
     if not any(h):
         return HilbertData((0,), -1, 0)

@@ -1,8 +1,10 @@
 """Polynomial rings and exact multivariate polynomials.
 
-A polynomial is a dict from exponent tuples to nonzero field elements.
-Instances are immutable: every operation returns a new polynomial, and
-terms dicts are never mutated after construction.
+A polynomial is a dict from exponent tuples to nonzero field elements:
+Fractions over QQ, ints in [1, p) over GF(p).  Arithmetic combines them
+with +, - and *, and over GF(p) takes each result % p.  Instances are
+immutable: every operation returns a new polynomial, and terms dicts are
+never mutated after construction.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import term_cap
-from .errors import RingMismatchError, TermCapExceededError
+from .config import term_cap, term_cap_error
+from .errors import RingMismatchError
 from .fields import CoefficientField
 from .orders import GREVLEX, MonomialOrder
 
@@ -49,13 +51,10 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one()})
+        return self.constant(1)
 
     def constant(self, value) -> "Polynomial":
-        c = self.field.coerce(value)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.from_terms({(0,) * self.nvars: value})
 
     def index(self, name: str) -> int:
         """Position of the named variable; KeyError when there is none."""
@@ -93,13 +92,13 @@ class PolyRing:
         return out
 
     def monomial(self, exps, coeff=1) -> "Polynomial":
-        exps = self.exponents(exps)
-        c = self.field.coerce(coeff)
-        if not c:
-            return self.zero()
-        return Polynomial(self, {exps: c})
+        if not isinstance(exps, tuple):
+            exps = self.exponents(exps)     # a list is no dict key
+        return self.from_terms({exps: coeff})
 
     def from_terms(self, terms: dict) -> "Polynomial":
+        """The polynomial of {exps: coeff}, the one entry point for outside
+        coefficients: each is coerced into the field, and zeros dropped."""
         clean = {}
         for exps, coeff in terms.items():
             exps = self.exponents(exps)
@@ -186,37 +185,41 @@ class Polynomial:
         if not self.terms:
             return self
         lc = self.leading_coefficient(order)
-        if lc == self.ring.field.one():
+        if lc == 1:
             return self
-        inv = self.ring.field.inv(lc)
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {e: mul(c, inv) for e, c in self.terms.items()})
+        inv, mod = self.ring.field.inv(lc), self.ring.field.p
+        if mod:
+            return Polynomial(self.ring, {e: c * inv % mod for e, c in self.terms.items()})
+        return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()})
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other when ``subtract``."""
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
         self.ring.check(other)
-        fld = self.ring.field
+        mod = self.ring.field.p
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = fld.add(out.get(e, fld.zero()), c)
-            if s:
-                out[e] = s
+            v = out.get(e, 0) + (-c if subtract else c)
+            if mod:
+                v %= mod
+            if v:
+                out[e] = v
             else:
-                out.pop(e, None)
+                del out[e]
         return Polynomial(self.ring, out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         other = self._coerce_operand(other)
@@ -225,15 +228,14 @@ class Polynomial:
         return other.__sub__(self)
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {e: neg(c) for e, c in self.terms.items()})
+        return self.ring.zero() - self
 
     def __mul__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
         self.ring.check(other)
-        fld = self.ring.field
+        mod = self.ring.field.p
         cap = term_cap()
         out: dict = {}
         # iterate over the shorter factor's terms on the outside
@@ -243,16 +245,16 @@ class Polynomial:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                s = fld.add(out.get(key, fld.zero()), fld.mul(ca, cb))
-                if s:
-                    out[key] = s
+                old = out.get(key)
+                v = ca * cb if old is None else old + ca * cb
+                if mod:
+                    v %= mod
+                if v:
+                    out[key] = v
                 else:
-                    out.pop(key, None)
+                    del out[key]
             if len(out) > cap:
-                raise TermCapExceededError(
-                    f"product exceeds the term cap ({cap}); "
-                    "set VANISH_TERM_CAP to raise it"
-                )
+                raise term_cap_error("product exceeds", cap)
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -308,18 +310,17 @@ class Polynomial:
         i = var if isinstance(var, int) else self.ring.index(var)
         if not 0 <= i < self.ring.nvars:
             raise IndexError(f"variable index {i} out of range for {self.ring}")
-        fld = self.ring.field
+        mod = self.ring.field.p
         out = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
-            c = fld.mul_int(coeff, e)
-            if not c:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            out[tuple(new)] = c
+            c = coeff * e
+            if mod:
+                c %= mod
+            if c:
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c
         return Polynomial(self.ring, out)
 
     def coefficient_of(self, exps: tuple[int, ...]):

@@ -284,8 +284,9 @@ def schoolbook_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     for ea, ca in f.terms.items():
         for eb, cb in g.terms.items():
             key = tuple(a + b for a, b in zip(ea, eb))
-            cur = acc.get(key, field.zero())
-            acc[key] = field.add(cur, field.mul(ca, cb))
+            acc[key] = acc.get(key, field.zero()) + ca * cb
+    if field.p:
+        acc = {e: c % field.p for e, c in acc.items()}
     acc = {e: c for e, c in acc.items() if c}
     return Polynomial(f.ring, acc)
 
@@ -342,11 +343,15 @@ def naive_divmod(f: Polynomial, divisors, order):
             le = max(d.terms, key=key)
             if monomial_divides(le, lt):
                 shift = tuple(b - a for a, b in zip(le, lt))
-                factor = fld.mul(lc, fld.inv(d.terms[le]))
+                factor = lc * fld.inv(d.terms[le])
+                if fld.p:
+                    factor %= fld.p
                 quotients[i][shift] = factor
                 for e, c in d.terms.items():
                     m = tuple(a + b for a, b in zip(e, shift))
-                    v = fld.sub(p.get(m, fld.zero()), fld.mul(factor, c))
+                    v = p.get(m, fld.zero()) - factor * c
+                    if fld.p:
+                        v %= fld.p
                     if v:
                         p[m] = v
                     else:

@@ -157,7 +157,8 @@ def rational_division_problems(draw):
 @given(rational_division_problems())
 def test_rational_division_matches_naive_oracle(problem):
     # large coefficients through the working-form arithmetic: the oracle
-    # runs on CoefficientField operations, so it is independent of it
+    # divides with Fraction arithmetic on every term, so it is independent
+    # of the reducer's integers and single scale
     f, divisors, order = problem
     quotients, remainder = divmod_poly(f, divisors, order)
     assert (quotients, remainder) == naive_divmod(f, divisors, order)
@@ -724,3 +725,14 @@ class TestResourceGuard:
         # divmod_poly runs the same loop, so it trips with the same message
         with pytest.raises(TermCapExceededError, match="reduction intermediate"):
             divmod_poly(f, [x - y], GREVLEX)
+
+    def test_remainder_counts_against_the_term_cap(self, r3, low_term_cap):
+        # the remainder so far is part of the intermediate: no more than two
+        # terms are ever pending here, but the remainder has three
+        f = r3.parse("2*x*y^2*z^2 + x*y^3")
+        d = r3.parse("3*x*y^2*z^2 + 2*x*y^2*z + 2*y*z")
+        low_term_cap(3)
+        assert len(normal_form(f, [d], LEX).terms) == 3
+        low_term_cap(2)
+        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
+            normal_form(f, [d], LEX)

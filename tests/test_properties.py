@@ -68,6 +68,44 @@ class TestRingAxioms:
         assert (f + g) ** 7 == f**7 + g**7  # freshman's dream in char 7
 
 
+@st.composite
+def same_ring_pairs(draw):
+    """Two polynomials of one ring, QQ[x, y] or GF(7)[x, y], with few
+    monomials and small coefficients, so that terms often cancel; x^7
+    has a derivative that vanishes over GF(7)."""
+    ring = draw(st.sampled_from((PolyRing(QQ, ("x", "y")), R_GF)))
+    exps = st.tuples(st.sampled_from((0, 1, 2, 7)), st.integers(0, 2))
+    return tuple(ring.from_terms(draw(st.dictionaries(exps, coeffs, max_size=5)))
+                 for _ in range(2))
+
+
+def assert_field_coefficients(h):
+    """Every coefficient is a nonzero Fraction over QQ, an int in [1, p)
+    over GF(p), and the rendering never reads "+ -"."""
+    mod = h.ring.field.p
+    for c in h.terms.values():
+        if mod is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < mod
+    assert "+ -" not in h.render()
+
+
+class TestCoefficientTypes:
+    @settings(max_examples=150, deadline=None)
+    @given(same_ring_pairs(), st.integers(-9, 9))
+    def test_arithmetic_keeps_field_coefficients(self, pair, k):
+        f, g = pair
+        results = [f + g, f - g, g - f, -f, f * g, f ** 2, f ** 3,
+                   f + k, k - f, f * k, f.monic(), f.differentiate(0),
+                   f.differentiate("y")]
+        for h in results:
+            assert_field_coefficients(h)
+        assert (f - f).terms == {} and (f + (-f)).terms == {}
+        assert f * g == schoolbook_mul(f, g)
+        assert f ** 2 == schoolbook_mul(f, f)
+
+
 class TestRendering:
     @settings(max_examples=80, deadline=None)
     @given(polys())

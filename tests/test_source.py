@@ -64,6 +64,12 @@ def test_ring_mismatch_is_raised_in_poly_only():
     assert {name: n for name, n in raises.items() if n} == {"poly.py": 2}
 
 
+def test_term_cap_error_is_built_in_config_only():
+    # config.term_cap_error builds every term-cap message
+    built = {p.name: sites(p.read_text(), calls("TermCapExceededError")) for p in MODULES}
+    assert {name: s for name, s in built.items() if s} == {"config.py": ["term_cap_error"]}
+
+
 def test_raised_names_are_found():
     source = "def f(x):\n    if x:\n        raise KeyError(x)\n    raise StopIteration\n"
     assert sorted(raised_names(source)) == ["KeyError", "StopIteration"]
