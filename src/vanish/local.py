@@ -374,7 +374,8 @@ def associativity_check(ideal: Ideal) -> VerificationReport:
         raise UnitIdealError("additivity check needs a proper ideal")
     ring = ideal.ring
     exps = ideal.monomial_exponents()   # raises unless monomial
-    lhs = _series(minimal_exponents(exps), ring.nvars).multiplicity
+    # a reduced basis's leading monomials are already the antichain
+    lhs = _series(tuple(sorted(exps, key=lambda e: (sum(e), e))), ring.nvars).multiplicity
     _, indep_sets = independent_sets(exps, ring.nvars)
     terms = []
     rhs = 0

@@ -504,6 +504,23 @@ class TestExitCodes:
             "--poly", "(x + y + z)^6", "--term-cap", "10")
         assert config.term_cap() == before
 
+    def test_term_cap_bounds_the_remainder_table(self, run, tmp_path):
+        # as the two tests above, on a zero-dimensional ideal over GF(p),
+        # whose membership queries read the basis's table of remainders
+        from vanish import config
+        path = tmp_path / "gf.txt"
+        path.write_text("ring GF(32003)[x, y, z]\n"
+                        "ideal zd = x^2 - y - 1, y^2 - z + 2*x, z^2 - x + 3\n",
+                        encoding="utf-8")
+        gf_file = str(path)
+        before = config.term_cap()
+        code, _, err = run("member", "-f", gf_file, "-i", "zd",
+                           "--poly", "x^4*y^4*z^4", "--term-cap", "10")
+        assert code == 3 and "resource cap: reduction intermediate" in err
+        assert config.term_cap() == before
+        assert run("member", "-f", gf_file, "-i", "zd", "--poly", "x^4*y^4*z^4") == (
+            0, "false\n", "")
+
 
 class TestGfRings:
     def test_gb_over_gf7(self, run, tmp_path):

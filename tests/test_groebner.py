@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from oracles import monomial_divides, monomials_of_degree, naive_divmod
 from vanish import groebner
@@ -409,10 +409,14 @@ def s_pair_routes(G, order, i, j) -> list:
     return out
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(s_pair_problems())
-def test_s_pair_route_matches_spoly(problem):
-    # both routes give the same remainder, or both pass the term cap
+def test_s_pair_route_matches_spoly(low_term_cap, problem):
+    # both routes give the same remainder, or both pass the term cap, which
+    # is lowered so that a draw of genuine lex growth stops in well under
+    # a second
+    low_term_cap(1000)
     pair, reference = s_pair_routes(*problem)
     assert pair == reference
 
@@ -689,6 +693,103 @@ class TestGroebnerBasisObject:
         x, y = r2.gens()
         fake = GroebnerBasis(r2, GREVLEX, (x * y - 1, y**2 - 1))
         assert not fake.check_certificate()
+
+
+@st.composite
+def zero_dimensional_problems(draw):
+    """A random zero-dimensional basis in x, y, z over GF(32003) or GF(7):
+    the reduced basis of x^a + lower terms, y^b + lower terms and
+    z^c + lower terms, lower in the order; and three queries."""
+    ring = PolyRing(GF(draw(st.sampled_from([GF_PRIME, 7]))), ("x", "y", "z"))
+    order = draw(st.sampled_from(DIVISION_ORDERS[:4]))
+    coeffs = st.integers(1, ring.field.p - 1)
+    gens = []
+    for v in range(3):
+        power = tuple(draw(st.integers(1, 3)) if i == v else 0 for i in range(3))
+        lower = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coeffs,
+                                     max_size=3))
+        gens.append(ring.from_terms({**{m: c for m, c in lower.items()
+                                        if order.key(m) < order.key(power)}, power: 1}))
+    queries = [ring.from_terms(draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), coeffs, min_size=1, max_size=5)))
+        for _ in range(3)]
+    return GroebnerBasis(ring, order, tuple(buchberger(ring, gens, order))), queries
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_dimensional_problems())
+def test_remainder_table_matches_the_loop(problem):
+    # a held reducer over GF(p) on a zero-dimensional basis answers from its
+    # table of remainders: the same remainder as the division loop and the
+    # textbook oracle, on a repeated query too, and across a widening, which
+    # a query with an exponent at the packing's field limit forces
+    gb, (f, g, h) = problem
+    ring, basis, order = gb.ring, list(gb), gb.order
+    assert gb._divisors.table is not None
+    limit = order.packing(ring.nvars).limit
+    wide = order.packing(ring.nvars, limit)
+
+    def check(q):
+        assert gb.reduce(q) == normal_form(q, basis, order) == naive_divmod(q, basis, order)[1]
+
+    for q in (f, g, f):
+        check(q)
+    # the monomials whose E at the wider packing keys an entry made before
+    aliases = [m for m in map(wide.unpack, gb._divisors.table) if max(m) < limit]
+    # the last variable's power stays cheap in lex; the oracle, which scans
+    # every live term for the leading one, would take seconds on it
+    q = ring.gens()[-1] ** limit + g
+    assert gb.reduce(q) == normal_form(q, basis, order)
+    assert gb._divisors.packing is wide
+    check(h + ring.from_terms({m: 1 for m in aliases}))
+
+
+class TestRemainderTable:
+    @pytest.fixture
+    def gf_basis(self):
+        # zero-dimensional: x^2 and y^2 lead
+        ring = PolyRing(GF(GF_PRIME), ("x", "y"))
+        x, y = ring.gens()
+        return Ideal(ring, [x**2 - y - 1, y**2 - x + 3]).groebner_basis()
+
+    def test_second_query_reads_only_the_table(self, gf_basis, monkeypatch):
+        x, y = gf_basis.ring.gens()
+        calls = count_divisor_calls(monkeypatch, "_steps")
+        f = (x + 2*y + 1) ** 5
+        first = gf_basis.reduce(f)
+        assert first == normal_form(f, list(gf_basis))
+        steps = len(calls)      # normal_form's own
+        assert gf_basis.reduce(f) == first
+        assert not gf_basis.contains(f) and gf_basis.contains((x**2 - y - 1) * f)
+        assert len(calls) == steps and gf_basis._divisors.table
+
+    def test_other_bases_keep_the_loop(self, monkeypatch):
+        # over QQ, and over GF(p) on a positive-dimensional basis (a curated
+        # prime's generators read mod p), the reducer holds no table
+        _, prime, _ = next(pair for pair in curated_sp2_pairs() if "curve" in pair[0])
+        gf = PolyRing(GF(GF_PRIME), prime.ring.variables)
+        m = Ideal(prime.ring, prime.ring.gens())
+        bases = [prime.ideal.groebner_basis(), m.groebner_basis(),
+                 Ideal(gf, [gf.from_terms(g.terms) for g in prime.ideal.gens]).groebner_basis()]
+        calls = count_divisor_calls(monkeypatch, "_steps")
+        for gb in bases:
+            f = sum(gb.ring.gens(), start=gb.ring.one()) ** 3
+            gb.reduce(f)
+            gb.reduce(f)
+            assert gb._divisors.table is None
+        assert len(calls) == 2 * len(bases)
+
+    def test_term_cap_bounds_one_query(self, gf_basis, low_term_cap):
+        # the entries one query makes count against the cap, and the
+        # entries left by an earlier query do not
+        x, y = gf_basis.ring.gens()
+        low_term_cap(20)
+        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
+            gf_basis.reduce(x**30 * y**30)
+        assert len(gf_basis._divisors.table) <= 20
+        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1):
+            assert gf_basis.reduce(f) == normal_form(f, list(gf_basis))
+            assert len(gf_basis._divisors.table) <= 20
 
 
 class TestRingAgreement:
