@@ -23,18 +23,25 @@ The loop picks a divisor by the popped monomial alone, so a remainder is
 linear in f: R(f) is the sum of c R(m) over the terms c m of f.  The
 reducer a :class:`GroebnerBasis` holds keeps a table m -> R(m), the reuse
 F4's *Simplify* makes of earlier reductions (Faugere, 1999), and answers
-a query with one lookup per term, under two conditions.  The field is
+a query with one lookup per term, under three conditions.  The field is
 GF(p): over QQ the entries would be fractions, and a variant with
 ``Fraction`` entries made a certificate check of grevlex katsura-5 five
 times slower than the loop.  The basis is zero-dimensional, a pure power
 of every variable being a leading monomial, so that each R(m) has at
 most dim_k R/I terms; on the hypersurface x^2 + yz + 1 over GF(32003)
 the table took 2.3 times the loop's time for (x+y+z+1)^30, its entries
-growing with the degree.  Even so, a large first query on a
-non-homogeneous basis pays for every monomial it reaches, where the loop
-cancels as it goes: against x^2 - y - 1, y^2 - z + 2x, z^2 - x + 3 over
-GF(32003), (x+y+z+1)^40 takes 3.3 times the loop's time once and about
-the loop's time on a repeat.  One-shot reducers keep the loop.
+growing with the degree.  The order ranks degree first, so that every
+monomial an entry reaches has at most m's degree; in lex it does not,
+and on a zero-dimensional lex basis over GF(7) x^256 y filled the
+default term cap's worth of entries in 59 s where the loop answered in
+21 s.  The table pays only when queries share monomials, so a basis's
+first query keeps the loop: a caller that asks once, as ``vanish
+member`` does, builds no table.  Even so, a large query on a
+non-homogeneous basis pays for every monomial it reaches, where the
+loop cancels as it goes: against x^2 - y - 1, y^2 - z + 2x,
+z^2 - x + 3 over GF(32003), (x+y+z+1)^40 takes about 3 times the
+loop's time when it fills the table and about the loop's time on a
+repeat.  One-shot reducers keep the loop.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -74,10 +81,12 @@ class _Divisors:
     multiple (content 1) and s > 0 is its leading coefficient; over GF(p)
     the coefficients are ints mod p and s is 1/lc, or None when lc is 1.
 
-    A ``held`` reducer over GF(p) whose leading monomials include a pure
-    power of every variable keeps ``table``: the E of each monomial m it
-    has reduced -> its remainder R(m) as {E: c mod p}.  Elsewhere ``table``
-    is None."""
+    A ``held`` reducer over GF(p) in a degree-first order whose leading
+    monomials include a pure power of every variable keeps ``table``: the
+    E of each monomial m it has reduced -> its remainder R(m) as
+    {E: c mod p}, holding ``table_terms`` terms (an empty R(m) counts
+    one).  Its first query takes the loop and fills nothing.  Elsewhere
+    ``table`` is None."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=(), held=False):
         divisors = list(divisors)
@@ -107,10 +116,10 @@ class _Divisors:
                                   [(*pack(m), c) for m, c in terms.items() if m != le]))
             self.units.append(unit)
         self.table = None
-        if held and ring.field.p:
+        if held and ring.field.p and order.kind in ("grlex", "grevlex"):
             leads = [self.packing.unpack(e) for _, _, e, _, _ in self.data]
             if all(any(sum(le) == le[v] for le in leads) for v in range(ring.nvars)):
-                self.table = {}
+                self.table, self.table_terms, self.queried = {}, 0, False
 
     def _repack(self, bound):
         """Move every divisor to the narrowest packing that holds ``bound``;
@@ -122,6 +131,7 @@ class _Divisors:
                      for i, _, e, s, tail in self.data]
         if self.table:
             self.table.clear()
+            self.table_terms = 0
 
     def _poly(self, terms, unit=(1, 1)) -> Polynomial:
         """The Polynomial of [(E, c, S)] terms: c over GF(p), and c n / (S d)
@@ -150,7 +160,9 @@ class _Divisors:
         multiple over the lcm of its denominators."""
         self.ring.check(f)
         if self.table is not None and not with_quotients:
-            return None, self._tabled(f)
+            if self.queried:
+                return None, self._tabled(f)
+            self.queried = True
         scale, terms = 1, f.terms
         if not self.ring.field.p:
             scale = lcm(*(c.denominator for c in terms.values()))
@@ -168,28 +180,35 @@ class _Divisors:
         R(m) is m when no divisor divides it, else the sum of
         -s c R(x^shift t) over the tail terms c t of the first divisor that
         does; a missing entry is built from its children with an explicit
-        stack.  The entries one query makes are bounded by the term cap;
-        those left from earlier queries are dropped instead of counted.  An
-        overflow widens the packing, which empties the table, and starts
-        over."""
+        stack, each child's entry being folded in as soon as it is there.
+        The terms one query stores are bounded by the term cap.  When the
+        table would pass the cap, the entries earlier queries left are
+        dropped instead.  An overflow widens the packing, which empties the
+        table, and starts over."""
         mod, table, cap = self.ring.field.p, self.table, term_cap()
         guard, data = self.packing.guard, self.data
-        left = len(table)       # entries from earlier queries
+        mine, made = [], 0      # this query's entries and their terms
 
         def store(e, entry):
-            nonlocal left
-            if len(table) >= cap:
-                if not left:
-                    raise term_cap_error("reduction intermediate exceeds", cap)
+            nonlocal made
+            n = len(entry) or 1
+            if made + n > cap:
+                raise term_cap_error("reduction intermediate exceeds", cap)
+            if self.table_terms + n > cap:
+                keep = {k: table[k] for k in mine}
                 table.clear()
-                left = 0
+                table.update(keep)
+                self.table_terms = made
             table[e] = entry
+            mine.append(e)
+            made += n
+            self.table_terms += n
 
         def fill(e):
-            stack = [[e, None]]     # [E, its children [(E, c)] once found]
+            stack = [[e, None, None]]   # [E, children [(E, c)] not yet folded, sum]
             while stack:
                 frame = stack[-1]
-                me, kids = frame
+                me, kids, entry = frame
                 if kids is None:
                     if me in table:
                         stack.pop()
@@ -202,25 +221,31 @@ class _Divisors:
                         store(me, {me: 1})
                         continue
                     shift, factor = me - de, mod - (1 if s is None else s)
-                    kids = frame[1] = [(te + shift, tc * factor) for _, te, tc in tail]
+                    kids = [(te + shift, tc * factor) for _, te, tc in tail]
                     if any(k & guard for k, _ in kids):
                         raise OverflowError
-                missing = [[k, None] for k, _ in kids if k not in table]
+                    entry = frame[2] = {}
+                # fold each child there now: a later store may drop it
+                missing = []
+                for k, kc in kids:
+                    child = table.get(k)
+                    if child is None:
+                        missing.append((k, kc))
+                        continue
+                    for be, v in child.items():
+                        entry[be] = entry.get(be, 0) + kc * v
+                frame[1] = missing
                 if missing:
-                    stack += missing
+                    stack += [[k, None, None] for k, _ in missing]
                     continue
                 stack.pop()
-                entry = {}
-                for k, kc in kids:
-                    for be, v in table[k].items():
-                        entry[be] = entry.get(be, 0) + kc * v
                 store(me, {be: v % mod for be, v in entry.items() if v % mod})
             return table[e]
 
-        total, pack_e = {}, self.packing.pack_e
+        total, pack = {}, self.packing.pack
         try:
             for m, c in f.terms.items():
-                e = pack_e(m)
+                e = pack(m)[1]
                 entry = table.get(e)
                 for be, v in (fill(e) if entry is None else entry).items():
                     total[be] = total.get(be, 0) + c * v

@@ -122,13 +122,9 @@ class Packing:
 
     def pack(self, exps) -> tuple[int, int]:
         """(K, E) of an exponent tuple."""
-        return sum(map(mul, exps, self._kw)), self.pack_e(exps)
-
-    def pack_e(self, exps) -> int:
-        """E alone of an exponent tuple."""
         if max(exps) >= self.limit:
             raise OverflowError(f"exponent past {self.limit - 1} in {exps}")
-        return sum(map(mul, exps, self._ew))
+        return sum(map(mul, exps, self._kw)), sum(map(mul, exps, self._ew))
 
     def lcm(self, a: int, b: int) -> int:
         """E of the lcm of the monomials whose Es are a and b: a guard bit

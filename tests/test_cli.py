@@ -504,9 +504,10 @@ class TestExitCodes:
             "--poly", "(x + y + z)^6", "--term-cap", "10")
         assert config.term_cap() == before
 
-    def test_term_cap_bounds_the_remainder_table(self, run, tmp_path):
-        # as the two tests above, on a zero-dimensional ideal over GF(p),
-        # whose membership queries read the basis's table of remainders
+    def test_term_cap_on_a_zero_dimensional_gf_ideal(self, run, tmp_path):
+        # as the two tests above, on a zero-dimensional ideal over GF(p):
+        # its basis's one query takes the division loop, not the table of
+        # remainders, and the cap still bounds it
         from vanish import config
         path = tmp_path / "gf.txt"
         path.write_text("ring GF(32003)[x, y, z]\n"

@@ -697,11 +697,12 @@ class TestGroebnerBasisObject:
 
 @st.composite
 def zero_dimensional_problems(draw):
-    """A random zero-dimensional basis in x, y, z over GF(32003) or GF(7):
-    the reduced basis of x^a + lower terms, y^b + lower terms and
-    z^c + lower terms, lower in the order; and three queries."""
+    """A random zero-dimensional basis in x, y, z over GF(32003) or GF(7),
+    in an order that ranks degree first: the reduced basis of
+    x^a + lower terms, y^b + lower terms and z^c + lower terms, lower in
+    the order; and three queries."""
     ring = PolyRing(GF(draw(st.sampled_from([GF_PRIME, 7]))), ("x", "y", "z"))
-    order = draw(st.sampled_from(DIVISION_ORDERS[:4]))
+    order = draw(st.sampled_from([GREVLEX, GRLEX]))
     coeffs = st.integers(1, ring.field.p - 1)
     gens = []
     for v in range(3):
@@ -719,29 +720,35 @@ def zero_dimensional_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(zero_dimensional_problems())
 def test_remainder_table_matches_the_loop(problem):
-    # a held reducer over GF(p) on a zero-dimensional basis answers from its
-    # table of remainders: the same remainder as the division loop and the
-    # textbook oracle, on a repeated query too, and across a widening, which
-    # a query with an exponent at the packing's field limit forces
+    # a held reducer over GF(p) on a zero-dimensional basis answers its
+    # second query on from its table of remainders: the same remainder as
+    # the division loop and the textbook oracle, on a repeated query too,
+    # and across a widening, which a query with an exponent at the
+    # packing's field limit forces
     gb, (f, g, h) = problem
     ring, basis, order = gb.ring, list(gb), gb.order
-    assert gb._divisors.table is not None
     limit = order.packing(ring.nvars).limit
     wide = order.packing(ring.nvars, limit)
 
     def check(q):
         assert gb.reduce(q) == normal_form(q, basis, order) == naive_divmod(q, basis, order)[1]
 
-    for q in (f, g, f):
+    for q in (f, g, f, g):      # the first by the loop, the rest by the table
         check(q)
+    assert gb._divisors.table
     # the monomials whose E at the wider packing keys an entry made before
     aliases = [m for m in map(wide.unpack, gb._divisors.table) if max(m) < limit]
-    # the last variable's power stays cheap in lex; the oracle, which scans
-    # every live term for the leading one, would take seconds on it
+    # the oracle, which scans every live term for the leading one, would
+    # take seconds on the last variable's power
     q = ring.gens()[-1] ** limit + g
     assert gb.reduce(q) == normal_form(q, basis, order)
     assert gb._divisors.packing is wide
     check(h + ring.from_terms({m: 1 for m in aliases}))
+
+
+def held_terms(gb) -> int:
+    """The terms a basis's table holds, an empty remainder counting one."""
+    return sum(len(entry) or 1 for entry in gb._divisors.table.values())
 
 
 class TestRemainderTable:
@@ -752,25 +759,33 @@ class TestRemainderTable:
         x, y = ring.gens()
         return Ideal(ring, [x**2 - y - 1, y**2 - x + 3]).groebner_basis()
 
-    def test_second_query_reads_only_the_table(self, gf_basis, monkeypatch):
+    def test_later_queries_read_only_the_table(self, gf_basis, monkeypatch):
+        # the first query takes the loop and fills nothing; the second
+        # fills the table and the third reads it, neither entering the loop
         x, y = gf_basis.ring.gens()
         calls = count_divisor_calls(monkeypatch, "_steps")
         f = (x + 2*y + 1) ** 5
         first = gf_basis.reduce(f)
         assert first == normal_form(f, list(gf_basis))
-        steps = len(calls)      # normal_form's own
+        assert len(calls) == 2 and not gf_basis._divisors.table
         assert gf_basis.reduce(f) == first
         assert not gf_basis.contains(f) and gf_basis.contains((x**2 - y - 1) * f)
-        assert len(calls) == steps and gf_basis._divisors.table
+        assert len(calls) == 2 and gf_basis._divisors.table
 
     def test_other_bases_keep_the_loop(self, monkeypatch):
-        # over QQ, and over GF(p) on a positive-dimensional basis (a curated
-        # prime's generators read mod p), the reducer holds no table
+        # over QQ, over GF(p) on a positive-dimensional basis (a curated
+        # prime's generators read mod p), and over GF(p) on a
+        # zero-dimensional basis in an order that does not rank degree
+        # first, the reducer holds no table
         _, prime, _ = next(pair for pair in curated_sp2_pairs() if "curve" in pair[0])
         gf = PolyRing(GF(GF_PRIME), prime.ring.variables)
         m = Ideal(prime.ring, prime.ring.gens())
+        ring = PolyRing(GF(7), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        zd = Ideal(ring, [x**3 + y*z + 2, y**2 + x*z + 1, z**3 + x**2 + 3])
         bases = [prime.ideal.groebner_basis(), m.groebner_basis(),
-                 Ideal(gf, [gf.from_terms(g.terms) for g in prime.ideal.gens]).groebner_basis()]
+                 Ideal(gf, [gf.from_terms(g.terms) for g in prime.ideal.gens]).groebner_basis(),
+                 zd.groebner_basis(LEX), zd.groebner_basis(elimination_order(1))]
         calls = count_divisor_calls(monkeypatch, "_steps")
         for gb in bases:
             f = sum(gb.ring.gens(), start=gb.ring.one()) ** 3
@@ -779,17 +794,63 @@ class TestRemainderTable:
             assert gb._divisors.table is None
         assert len(calls) == 2 * len(bases)
 
-    def test_term_cap_bounds_one_query(self, gf_basis, low_term_cap):
-        # the entries one query makes count against the cap, and the
-        # entries left by an earlier query do not
+    def test_lex_power_is_answered_by_the_loop(self, low_term_cap):
+        # in lex the monomials a high power reaches are not bounded by its
+        # degree; the held reducer answers as normal_form does, or both
+        # pass the cap
+        ring = PolyRing(GF(7), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        gb = Ideal(ring, [x**3 + y*z + 2, y**2 + x*z + 1, z**3 + x**2 + 3]).groebner_basis(LEX)
+        low_term_cap(1000)
+
+        def outcome(reduce, f):
+            try:
+                return reduce(f)
+            except TermCapExceededError:
+                return "cap"
+
+        for f in (x**40 * y, x**40 * y, x**256 * y):
+            assert outcome(gb.reduce, f) == outcome(lambda q: normal_form(q, list(gb), LEX), f)
+
+    def test_term_cap_bounds_the_terms_held(self, gf_basis, low_term_cap):
+        # the terms one query stores count against the cap, and the terms
+        # left by earlier queries are dropped instead
         x, y = gf_basis.ring.gens()
-        low_term_cap(20)
+        low_term_cap(45)
+        gf_basis.reduce(x)      # the loop's
         with pytest.raises(TermCapExceededError, match="reduction intermediate"):
             gf_basis.reduce(x**30 * y**30)
-        assert len(gf_basis._divisors.table) <= 20
-        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1):
+        assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 45
+        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**3 * y**2):
             assert gf_basis.reduce(f) == normal_form(f, list(gf_basis))
-            assert len(gf_basis._divisors.table) <= 20
+            assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 45
+
+    def test_term_cap_counts_one_query_across_a_drop(self, gf_basis, low_term_cap):
+        # a query storing one term more than the cap raises, although the
+        # entries of an earlier query are dropped to make room on the way
+        x, y = gf_basis.ring.gens()
+        fresh = gf_basis.ring, gf_basis.order, gf_basis.polys
+        f = x**9 * y**8
+
+        def basis_after_a_query():
+            gb = GroebnerBasis(*fresh)
+            gb.reduce(x)        # the loop's
+            gb.reduce(x**3 * y**2)
+            return gb
+
+        gb = basis_after_a_query()
+        before = held_terms(gb)
+        gb.reduce(f)
+        made = held_terms(gb) - before
+        assert before < made - 1
+        low_term_cap(made - 1)
+        gb = basis_after_a_query()
+        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
+            gb.reduce(f)
+        assert gb._divisors.table_terms == held_terms(gb) <= made - 1
+        low_term_cap(made)
+        assert gb.reduce(f) == normal_form(f, list(gb))
+        assert gb._divisors.table_terms == held_terms(gb) <= made
 
 
 class TestRingAgreement:
