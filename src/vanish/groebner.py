@@ -41,7 +41,12 @@ non-homogeneous basis pays for every monomial it reaches, where the
 loop cancels as it goes: against x^2 - y - 1, y^2 - z + 2x,
 z^2 - x + 3 over GF(32003), (x+y+z+1)^40 takes about 3 times the
 loop's time when it fills the table and about the loop's time on a
-repeat.  One-shot reducers keep the loop.
+repeat.  The terms the table holds count against the term cap, the
+entries of earlier queries being dropped first.  A query whose own
+entries would pass the cap drops the table, and the loop answers it and
+every later query, so that the table fails no query the loop answers: a
+second (x+y)^400 against that basis passes 10^6 terms after about 1 s,
+where the loop answers in 0.4 s.  One-shot reducers keep the loop.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -63,6 +68,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .config import term_cap, term_cap_error
+from .errors import TermCapExceededError
 from .orders import GREVLEX, MonomialOrder
 from .poly import (
     Polynomial,
@@ -85,8 +91,9 @@ class _Divisors:
     monomials include a pure power of every variable keeps ``table``: the
     E of each monomial m it has reduced -> its remainder R(m) as
     {E: c mod p}, holding ``table_terms`` terms (an empty R(m) counts
-    one).  Its first query takes the loop and fills nothing.  Elsewhere
-    ``table`` is None."""
+    one).  Its first query takes the loop and fills nothing, and a query
+    whose own entries would pass the term cap drops the table for good.
+    Elsewhere ``table`` is None."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=(), held=False):
         divisors = list(divisors)
@@ -161,7 +168,11 @@ class _Divisors:
         self.ring.check(f)
         if self.table is not None and not with_quotients:
             if self.queried:
-                return None, self._tabled(f)
+                try:
+                    return None, self._tabled(f)
+                except TermCapExceededError:
+                    # the loop answers, and raises if its own terms pass the cap
+                    self.table = None
             self.queried = True
         scale, terms = 1, f.terms
         if not self.ring.field.p:
@@ -181,10 +192,11 @@ class _Divisors:
         -s c R(x^shift t) over the tail terms c t of the first divisor that
         does; a missing entry is built from its children with an explicit
         stack, each child's entry being folded in as soon as it is there.
-        The terms one query stores are bounded by the term cap.  When the
-        table would pass the cap, the entries earlier queries left are
-        dropped instead.  An overflow widens the packing, which empties the
-        table, and starts over."""
+        The terms one query stores are bounded by the term cap: past it,
+        the reducer's error is raised.  When only the table would pass the
+        cap, the entries earlier queries left are dropped instead.  An
+        overflow widens the packing, which empties the table, and starts
+        over."""
         mod, table, cap = self.ring.field.p, self.table, term_cap()
         guard, data = self.packing.guard, self.data
         mine, made = [], 0      # this query's entries and their terms

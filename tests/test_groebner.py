@@ -813,21 +813,25 @@ class TestRemainderTable:
             assert outcome(gb.reduce, f) == outcome(lambda q: normal_form(q, list(gb), LEX), f)
 
     def test_term_cap_bounds_the_terms_held(self, gf_basis, low_term_cap):
-        # the terms one query stores count against the cap, and the terms
-        # left by earlier queries are dropped instead
+        # the terms the table holds stay within the cap: x^4 y^4 needs 20
+        # terms where 43 are held, so the entries of earlier queries are
+        # dropped and the table stays
         x, y = gf_basis.ring.gens()
         low_term_cap(45)
         gf_basis.reduce(x)      # the loop's
-        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
-            gf_basis.reduce(x**30 * y**30)
-        assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 45
-        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**3 * y**2):
+        held = []
+        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**4 * y**4, x**3 * y**2):
             assert gf_basis.reduce(f) == normal_form(f, list(gf_basis))
             assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 45
+            held.append(held_terms(gf_basis))
+        assert held[3] < held[2]
 
-    def test_term_cap_counts_one_query_across_a_drop(self, gf_basis, low_term_cap):
-        # a query storing one term more than the cap raises, although the
-        # entries of an earlier query are dropped to make room on the way
+    def test_term_cap_counts_one_query_across_a_drop(self, gf_basis, low_term_cap,
+                                                     monkeypatch):
+        # a query storing one term more than the cap passes it, although the
+        # entries of an earlier query are dropped to make room on the way:
+        # the basis drops its table and the loop answers this query and the
+        # later ones; at the cap the table keeps the query's terms
         x, y = gf_basis.ring.gens()
         fresh = gf_basis.ring, gf_basis.order, gf_basis.polys
         f = x**9 * y**8
@@ -845,12 +849,26 @@ class TestRemainderTable:
         assert before < made - 1
         low_term_cap(made - 1)
         gb = basis_after_a_query()
-        with pytest.raises(TermCapExceededError, match="reduction intermediate"):
-            gb.reduce(f)
-        assert gb._divisors.table_terms == held_terms(gb) <= made - 1
-        low_term_cap(made)
+        calls = count_divisor_calls(monkeypatch, "_steps")
         assert gb.reduce(f) == normal_form(f, list(gb))
-        assert gb._divisors.table_terms == held_terms(gb) <= made
+        assert gb._divisors.table is None and len(calls) == 2
+        assert gb.reduce(x**3 * y**2) == normal_form(x**3 * y**2, list(gb))
+        assert len(calls) == 4
+        low_term_cap(made)
+        gb = basis_after_a_query()
+        assert gb.reduce(f) == normal_form(f, list(gb))
+        assert gb._divisors.table_terms == held_terms(gb) == made
+
+    def test_term_cap_still_bounds_the_loop(self, gf_basis, low_term_cap):
+        # a query that passes the cap in the table and in the loop raises
+        # the reducer's error, on the table's route as on the first query's
+        x, y = gf_basis.ring.gens()
+        f = (x + 2*y + 1) ** 5
+        low_term_cap(3)
+        for _ in range(2):
+            with pytest.raises(TermCapExceededError, match="reduction intermediate"):
+                gf_basis.reduce(f)
+        assert gf_basis._divisors.table is None
 
 
 class TestRingAgreement:
