@@ -45,8 +45,9 @@ repeat.  The terms the table holds count against the term cap, the
 entries of earlier queries being dropped first.  A query whose own
 entries would pass the cap drops the table, and the loop answers it and
 every later query, so that the table fails no query the loop answers: a
-second (x+y)^400 against that basis passes 10^6 terms after about 1 s,
-where the loop answers in 0.4 s.  One-shot reducers keep the loop.
+second (x+y)^400 against that basis passes 10^6 terms in the table and
+then takes the loop, 1.5-2.4 s in all, where the loop alone takes
+0.4-0.5 s.  One-shot reducers keep the loop.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
