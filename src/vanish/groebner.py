@@ -24,30 +24,20 @@ linear in f: R(f) is the sum of c R(m) over the terms c m of f.  The
 reducer a :class:`GroebnerBasis` holds keeps a table m -> R(m), the reuse
 F4's *Simplify* makes of earlier reductions (Faugere, 1999), and answers
 a query with one lookup per term, under three conditions.  The field is
-GF(p): over QQ the entries would be fractions, and a variant with
-``Fraction`` entries made a certificate check of grevlex katsura-5 five
-times slower than the loop.  The basis is zero-dimensional, a pure power
+GF(p): over QQ the entries would be fractions, whose arithmetic costs
+more than the loop saves.  The basis is zero-dimensional, a pure power
 of every variable being a leading monomial, so that each R(m) has at
-most dim_k R/I terms; on the hypersurface x^2 + yz + 1 over GF(32003)
-the table took 2.3 times the loop's time for (x+y+z+1)^30, its entries
-growing with the degree.  The order ranks degree first, so that every
-monomial an entry reaches has at most m's degree; in lex it does not,
-and on a zero-dimensional lex basis over GF(7) x^256 y filled the
-default term cap's worth of entries in 59 s where the loop answered in
-21 s.  The table pays only when queries share monomials, so a basis's
-first query keeps the loop: a caller that asks once, as ``vanish
-member`` does, builds no table.  Even so, a large query on a
-non-homogeneous basis pays for every monomial it reaches, where the
-loop cancels as it goes: against x^2 - y - 1, y^2 - z + 2x,
-z^2 - x + 3 over GF(32003), (x+y+z+1)^40 takes about 3 times the
-loop's time when it fills the table and about the loop's time on a
-repeat.  The terms the table holds count against the term cap, the
-entries of earlier queries being dropped first.  A query whose own
-entries would pass the cap drops the table, and the loop answers it and
-every later query, so that the table fails no query the loop answers: a
-second (x+y)^400 against that basis passes 10^6 terms in the table and
-then takes the loop, 1.5-2.4 s in all, where the loop alone takes
-0.4-0.5 s.  One-shot reducers keep the loop.
+most dim_k R/I terms; on a positive-dimensional basis the entries grow
+with the degree.  The order ranks degree first, so that every monomial
+an entry reaches has at most m's degree; in lex a high power reaches
+monomials that its degree does not bound.  The table pays only when
+queries share monomials, so a basis's first query keeps the loop: a
+caller that asks once, as ``vanish member`` does, builds no table.  A
+large query on a non-homogeneous basis still pays for every monomial it
+reaches, where the loop cancels as it goes.  The terms the table holds
+count against the term cap: a query that would pass it drops the table,
+and the loop answers that query and every later one, so that the table
+fails no query the loop answers.  One-shot reducers keep the loop.
 
 The basis returned by :func:`buchberger` is always the reduced one:
 monic elements, leading monomials forming an antichain under
@@ -93,8 +83,8 @@ class _Divisors:
     E of each monomial m it has reduced -> its remainder R(m) as
     {E: c mod p}, holding ``table_terms`` terms (an empty R(m) counts
     one).  Its first query takes the loop and fills nothing, and a query
-    whose own entries would pass the term cap drops the table for good.
-    Elsewhere ``table`` is None."""
+    that would take the terms held past the term cap drops the table for
+    good.  Elsewhere ``table`` is None."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, divisors=(), held=False):
         divisors = list(divisors)
@@ -157,7 +147,7 @@ class _Divisors:
         basis's element: lt(g_i) divides no tail term, each being smaller,
         and a normal form modulo a Groebner basis is unique, whichever
         basis of the ideal divides."""
-        remainder = self._divide(lambda: self.data[i][4])[1]
+        remainder = self._widening(lambda: self._steps(self.data[i][4], 1, None, False))[1]
         _, _, e, s, _ = self.data[i]
         s = 1 if self.ring.field.p else s       # the tail over QQ is s times g_i's
         return self._poly([(e, 1, 1), *((te, c, S * s) for _, te, c, S in remainder)])
@@ -170,7 +160,7 @@ class _Divisors:
         if self.table is not None and not with_quotients:
             if self.queried:
                 try:
-                    return None, self._tabled(f)
+                    return None, self._widening(lambda: self._tabled(f))
                 except TermCapExceededError:
                     # the loop answers, and raises if its own terms pass the cap
                     self.table = None
@@ -179,9 +169,9 @@ class _Divisors:
         if not self.ring.field.p:
             scale = lcm(*(c.denominator for c in terms.values()))
             terms = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
-        quotients, remainder = self._divide(
-            lambda: [(*self.packing.pack(m), c) for m, c in terms.items()],
-            None, with_quotients, scale)
+        quotients, remainder = self._widening(lambda: self._steps(
+            [(*self.packing.pack(m), c) for m, c in terms.items()],
+            scale, None, with_quotients))
         return ([self._poly(((e, *q) for e, q in qs.items()), u)
                  for qs, u in zip(quotients, self.units)] if with_quotients else None,
                 self._poly((e, c, S) for _, e, c, S in remainder))
@@ -191,80 +181,54 @@ class _Divisors:
 
         R(m) is m when no divisor divides it, else the sum of
         -s c R(x^shift t) over the tail terms c t of the first divisor that
-        does; a missing entry is built from its children with an explicit
-        stack, each child's entry being folded in as soon as it is there.
-        The terms one query stores are bounded by the term cap: past it,
-        the reducer's error is raised.  When only the table would pass the
-        cap, the entries earlier queries left are dropped instead.  An
-        overflow widens the packing, which empties the table, and starts
-        over."""
+        does; a missing entry is built with an explicit stack, once all its
+        children are in the table.  When the terms held pass the term cap,
+        the reducer's error is raised."""
         mod, table, cap = self.ring.field.p, self.table, term_cap()
-        guard, data = self.packing.guard, self.data
-        mine, made = [], 0      # this query's entries and their terms
-
-        def store(e, entry):
-            nonlocal made
-            n = len(entry) or 1
-            if made + n > cap:
-                raise term_cap_error("reduction intermediate exceeds", cap)
-            if self.table_terms + n > cap:
-                keep = {k: table[k] for k in mine}
-                table.clear()
-                table.update(keep)
-                self.table_terms = made
-            table[e] = entry
-            mine.append(e)
-            made += n
-            self.table_terms += n
+        guard, data, pack = self.packing.guard, self.data, self.packing.pack
 
         def fill(e):
-            stack = [[e, None, None]]   # [E, children [(E, c)] not yet folded, sum]
+            stack = [[e, None]]     # [E, children [(E, c)] once made]
             while stack:
                 frame = stack[-1]
-                me, kids, entry = frame
+                me, kids = frame
                 if kids is None:
                     if me in table:
                         stack.pop()
                         continue
                     for _, _, de, s, tail in data:
                         if not (me - de) & guard:
+                            shift, factor = me - de, mod - (1 if s is None else s)
+                            kids = frame[1] = [(te + shift, tc * factor) for _, te, tc in tail]
                             break
-                    else:
-                        stack.pop()
-                        store(me, {me: 1})
-                        continue
-                    shift, factor = me - de, mod - (1 if s is None else s)
-                    kids = [(te + shift, tc * factor) for _, te, tc in tail]
-                    if any(k & guard for k, _ in kids):
-                        raise OverflowError
-                    entry = frame[2] = {}
-                # fold each child there now: a later store may drop it
-                missing = []
-                for k, kc in kids:
-                    child = table.get(k)
-                    if child is None:
-                        missing.append((k, kc))
-                        continue
-                    for be, v in child.items():
-                        entry[be] = entry.get(be, 0) + kc * v
-                frame[1] = missing
-                if missing:
-                    stack += [[k, None, None] for k, _ in missing]
-                    continue
+                    if kids is not None:
+                        if any(k & guard for k, _ in kids):
+                            raise OverflowError
+                        missing = [[k, None] for k, _ in kids if k not in table]
+                        if missing:
+                            stack += missing
+                            continue
                 stack.pop()
-                store(me, {be: v % mod for be, v in entry.items() if v % mod})
+                if kids is None:
+                    entry = {me: 1}     # no divisor divides m
+                else:
+                    sums = {}
+                    for k, kc in kids:
+                        for be, v in table[k].items():
+                            sums[be] = sums.get(be, 0) + kc * v
+                    entry = {be: v % mod for be, v in sums.items() if v % mod}
+                table[me] = entry
+                self.table_terms += len(entry) or 1
+                if self.table_terms > cap:
+                    raise term_cap_error("reduction intermediate exceeds", cap)
             return table[e]
 
-        total, pack = {}, self.packing.pack
-        try:
-            for m, c in f.terms.items():
-                e = pack(m)[1]
-                entry = table.get(e)
-                for be, v in (fill(e) if entry is None else entry).items():
-                    total[be] = total.get(be, 0) + c * v
-        except OverflowError:
-            self._repack(self.packing.limit)
-            return self._tabled(f)
+        total = {}
+        for m, c in f.terms.items():
+            e = pack(m)[1]
+            entry = table.get(e)
+            for be, v in (fill(e) if entry is None else entry).items():
+                total[be] = total.get(be, 0) + c * v
         unpack = self.packing.unpack
         return Polynomial(self.ring, {unpack(e): v % mod for e, v in total.items() if v % mod})
 
@@ -283,7 +247,7 @@ class _Divisors:
             if any(te & self.packing.guard for _, te, _ in pending):
                 raise OverflowError     # K is one-to-one only below the limit
             return [(k, e, 1 if mod else s), *pending]
-        remainder = self._divide(start, j)[1]
+        remainder = self._widening(lambda: self._steps(start(), 1, j, False))[1]
         if not remainder:
             return False
         if mod:
@@ -301,21 +265,22 @@ class _Divisors:
         self.count += 1
         return True
 
-    def _divide(self, start, first=None, with_quotients=False, scale=1):
-        """Divide the pending [(K, E, c)] terms that ``start`` packs, c
-        being ints that stand for c / ``scale`` over QQ; the first step
-        takes divisor ``first`` when given.  An overflow, in ``start`` or
-        in a product, widens the packing and starts over."""
-        try:
-            return self._steps(start(), scale, first, with_quotients)
-        except OverflowError:
-            self._repack(self.packing.limit)
-            return self._divide(start, first, with_quotients, scale)
+    def _widening(self, run):
+        """run()'s value.  An overflow of a packed monomial, as terms are
+        packed or multiplied, widens the packing and runs it again."""
+        while True:
+            try:
+                return run()
+            except OverflowError:
+                self._repack(self.packing.limit)
 
     def _steps(self, pending, scale, first, with_quotients):
-        """(quotients as {E: (c, S)} per divisor or None, the remainder as
-        [(K, E, c, S)] with K decreasing), where (c, S) stands for c over
-        GF(p) and c / S over QQ, S being the scale when the term was made.
+        """Divide the ``pending`` [(K, E, c)] terms, c being ints that stand
+        for c / ``scale`` over QQ; the first step takes divisor ``first``
+        when it is not None.  Returns (quotients as {E: (c, S)} per divisor
+        or None, the remainder as [(K, E, c, S)] with K decreasing), where
+        (c, S) stands for c over GF(p) and c / S over QQ, S being the scale
+        when the term was made.
         Over QQ a step by a divisor with leading coefficient s takes p to
         (s/h) p - (c/h) x^shift tail, c being p's leading coefficient and
         h = gcd(c, s), and the scale to s/h times itself."""

@@ -127,8 +127,8 @@ def graded_hilbert_data(ideal: Ideal) -> HilbertData:
     """
     if ideal.is_unit():
         raise UnitIdealError("the unit ideal has no Hilbert data")
-    return _series(minimal_exponents(
-        ideal.groebner_basis().leading_term_exponents()), ideal.ring.nvars)
+    exps = ideal.groebner_basis().leading_term_exponents()     # already minimal
+    return _series(tuple(sorted(exps, key=lambda e: (sum(e), e))), ideal.ring.nvars)
 
 
 def multiplicity_graded(ideal: Ideal) -> int:

@@ -812,52 +812,30 @@ class TestRemainderTable:
         for f in (x**40 * y, x**40 * y, x**256 * y):
             assert outcome(gb.reduce, f) == outcome(lambda q: normal_form(q, list(gb), LEX), f)
 
-    def test_term_cap_bounds_the_terms_held(self, gf_basis, low_term_cap):
-        # the terms the table holds stay within the cap: x^4 y^4 needs 20
-        # terms where 43 are held, so the entries of earlier queries are
-        # dropped and the table stays
+    def test_term_cap_drops_the_table_for_the_loop(self, gf_basis, low_term_cap,
+                                                   monkeypatch):
+        # the terms the table holds count against the cap, an empty
+        # remainder as one, and may reach it: x^4 y^4 needs 20 terms where
+        # 43, the cap, are held, so the basis drops its table and the loop
+        # answers that query and the later ones
         x, y = gf_basis.ring.gens()
-        low_term_cap(45)
+        queries = [x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**4 * y**4, x**3 * y**2]
+        expected = [normal_form(f, list(gf_basis)) for f in queries]
+        low_term_cap(43)
         gf_basis.reduce(x)      # the loop's
-        held = []
-        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**4 * y**4, x**3 * y**2):
-            assert gf_basis.reduce(f) == normal_form(f, list(gf_basis))
-            assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 45
-            held.append(held_terms(gf_basis))
-        assert held[3] < held[2]
-
-    def test_term_cap_counts_one_query_across_a_drop(self, gf_basis, low_term_cap,
-                                                     monkeypatch):
-        # a query storing one term more than the cap passes it, although the
-        # entries of an earlier query are dropped to make room on the way:
-        # the basis drops its table and the loop answers this query and the
-        # later ones; at the cap the table keeps the query's terms
-        x, y = gf_basis.ring.gens()
-        fresh = gf_basis.ring, gf_basis.order, gf_basis.polys
-        f = x**9 * y**8
-
-        def basis_after_a_query():
-            gb = GroebnerBasis(*fresh)
-            gb.reduce(x)        # the loop's
-            gb.reduce(x**3 * y**2)
-            return gb
-
-        gb = basis_after_a_query()
-        before = held_terms(gb)
-        gb.reduce(f)
-        made = held_terms(gb) - before
-        assert before < made - 1
-        low_term_cap(made - 1)
-        gb = basis_after_a_query()
         calls = count_divisor_calls(monkeypatch, "_steps")
-        assert gb.reduce(f) == normal_form(f, list(gb))
-        assert gb._divisors.table is None and len(calls) == 2
-        assert gb.reduce(x**3 * y**2) == normal_form(x**3 * y**2, list(gb))
-        assert len(calls) == 4
-        low_term_cap(made)
-        gb = basis_after_a_query()
-        assert gb.reduce(f) == normal_form(f, list(gb))
-        assert gb._divisors.table_terms == held_terms(gb) == made
+        for f, r in zip(queries[:3], expected):
+            assert gf_basis.reduce(f) == r
+            assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 43
+        assert held_terms(gf_basis) == 43 and not calls
+        for n, (f, r) in enumerate(zip(queries[3:], expected[3:]), start=1):
+            assert gf_basis.reduce(f) == r
+            assert gf_basis._divisors.table is None and len(calls) == n
+        # a zero remainder counts one: x^3 y lies in the ideal
+        gb = Ideal(gf_basis.ring, [x**2, y**2 - x + 3]).groebner_basis()
+        gb.reduce(x)        # the loop's
+        assert gb.reduce(x**3 * y) == 0
+        assert gb._divisors.table_terms == held_terms(gb) == 1
 
     def test_term_cap_still_bounds_the_loop(self, gf_basis, low_term_cap):
         # a query that passes the cap in the table and in the loop raises

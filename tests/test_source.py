@@ -116,6 +116,16 @@ def test_theorems_decide_hypotheses_in_one_helper():
     assert sites(source, method_calls("radical_contains")) == ["_hypotheses"]
 
 
+def test_overflow_is_caught_in_one_widening_helper():
+    # a packed monomial's overflow widens the reducer in one place, for the
+    # division loop and the remainder table alike
+    tree = ast.parse((SRC / "groebner.py").read_text())
+    handlers = [node for node in ast.walk(tree) if catches("OverflowError")(node)]
+    owners = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in ast.walk(f) if node in handlers]
+    assert len(handlers) == 1 and owners == ["_widening"]
+
+
 def test_sites_are_found():
     source = ("try:\n    f()\nexcept (KeyError, E):\n    pass\n"
               "def g():\n    def h():\n        return f(1)\n    return [f()]\n"
