@@ -812,30 +812,44 @@ class TestRemainderTable:
         for f in (x**40 * y, x**40 * y, x**256 * y):
             assert outcome(gb.reduce, f) == outcome(lambda q: normal_form(q, list(gb), LEX), f)
 
-    def test_term_cap_drops_the_table_for_the_loop(self, gf_basis, low_term_cap,
-                                                   monkeypatch):
-        # the terms the table holds count against the cap, an empty
-        # remainder as one, and may reach it: x^4 y^4 needs 20 terms where
-        # 43, the cap, are held, so the basis drops its table and the loop
-        # answers that query and the later ones
+    def fill_to_the_cap(self, gf_basis, low_term_cap):
+        # three queries that fit fill the table to 43 terms, the cap; the
+        # first query, the loop's, fills nothing
         x, y = gf_basis.ring.gens()
-        queries = [x**3 * y**2, x**2 + y, x**4 * y**3 + 1, x**4 * y**4, x**3 * y**2]
-        expected = [normal_form(f, list(gf_basis)) for f in queries]
         low_term_cap(43)
-        gf_basis.reduce(x)      # the loop's
-        calls = count_divisor_calls(monkeypatch, "_steps")
-        for f, r in zip(queries[:3], expected):
-            assert gf_basis.reduce(f) == r
+        gf_basis.reduce(x)
+        for f in (x**3 * y**2, x**2 + y, x**4 * y**3 + 1):
+            yield f, gf_basis.reduce(f)
+
+    def test_term_cap_bounds_the_terms_held(self, gf_basis, low_term_cap):
+        # the terms the table holds count against the cap as each entry is
+        # stored, an empty remainder as one, and may reach it
+        for f, r in self.fill_to_the_cap(gf_basis, low_term_cap):
+            assert r == normal_form(f, list(gf_basis))
             assert gf_basis._divisors.table_terms == held_terms(gf_basis) <= 43
-        assert held_terms(gf_basis) == 43 and not calls
-        for n, (f, r) in enumerate(zip(queries[3:], expected[3:]), start=1):
-            assert gf_basis.reduce(f) == r
-            assert gf_basis._divisors.table is None and len(calls) == n
+        assert held_terms(gf_basis) == 43
         # a zero remainder counts one: x^3 y lies in the ideal
+        x, y = gf_basis.ring.gens()
         gb = Ideal(gf_basis.ring, [x**2, y**2 - x + 3]).groebner_basis()
         gb.reduce(x)        # the loop's
         assert gb.reduce(x**3 * y) == 0
         assert gb._divisors.table_terms == held_terms(gb) == 1
+
+    def test_term_cap_counts_one_query_across_a_drop(self, gf_basis, low_term_cap,
+                                                     monkeypatch):
+        # x^4 y^4 needs 20 terms where 43, the cap, are held: one count
+        # covers the table and that query, so the basis drops its table
+        # and the loop answers that query and the later ones
+        x, y = gf_basis.ring.gens()
+        queries = [x**4 * y**4, x**3 * y**2]
+        expected = [normal_form(f, list(gf_basis)) for f in queries]
+        calls = count_divisor_calls(monkeypatch, "_steps")
+        for _ in self.fill_to_the_cap(gf_basis, low_term_cap):
+            pass
+        assert len(calls) == 1 and held_terms(gf_basis) == 43
+        for n, (f, r) in enumerate(zip(queries, expected), start=2):
+            assert gf_basis.reduce(f) == r
+            assert gf_basis._divisors.table is None and len(calls) == n
 
     def test_term_cap_still_bounds_the_loop(self, gf_basis, low_term_cap):
         # a query that passes the cap in the table and in the loop raises
