@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .config import DEFAULT_ORD_CAP, term_cap, term_cap_error
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     UnitIdealError,
     WitnessError,
 )
-from .ideals import Ideal, independent_sets
+from .ideals import Ideal, _graded_colon, independent_sets
 from .orders import GREVLEX
 from .poly import Polynomial, PolyRing, minimal_exponents, positive_int
 from .reports import VerificationReport
@@ -219,8 +220,8 @@ class PrimeWitness:
         return all(g.is_homogeneous(self.weights) for g in self.ideal.gens)
 
     def probe_elements(self) -> list[Polynomial]:
-        """The variables outside the prime other than the witness: the
-        saturation ends on a colon by the witness that moves nothing."""
+        """The variables outside the prime other than the witness, which
+        ``symbolic_power`` probes on its own route when it needs to."""
         return [v for v in self._variables_outside() if v != self.witness]
 
     def __repr__(self):
@@ -282,27 +283,36 @@ def _det(matrix: list[list[Polynomial]]) -> Polynomial:
 def symbolic_power(p: PrimeWitness, m: int) -> Ideal:
     """The m-th symbolic power, as a witness saturation with a post-check.
 
-    The returned ideal always sits between the ordinary power and the
-    prime, so its radical is the prime (each generator g of the prime has
-    g^m in the ordinary power), and it is stable under colon by the
-    witness (the saturation stops only when its last colon leaves the
-    ideal unchanged) and by every probe element.  Any violated probe
-    raises instead of returning a wrong ideal.
+    A graded prime (``graded_bridge_ok``) with a variable as witness is
+    saturated by Bayer's criterion, and the witness joins the probes;
+    any other by colons, which stop only when one by the witness moves
+    nothing.  The returned ideal always sits between the ordinary power
+    and the prime, so its radical is the prime (each generator g of the
+    prime has g^m in the ordinary power), and it is stable under colon by
+    every probe: I : (w_1...w_k) is I exactly when every I : w_i is, so
+    one tag-variable colon by the product probes them all, and only when
+    it moves the result is each run alone, to name the failures.  Any
+    violated probe raises instead of returning a wrong ideal.
     """
     m = positive_int(m)
     cached = p._symbolic_cache.get(m)
     if cached is not None:
         return cached
     base = p.ideal ** m
-    result, _ = base.saturate(p.witness)
+    probes = list(p._variables_outside())
+    if p.graded_bridge_ok and p.witness in probes:
+        result, _ = _graded_colon(base, next(iter(p.witness.terms)).index(1), p.weights)
+    else:
+        result, _ = base.saturate(p.witness)
+        probes = p.probe_elements()
     diagnostics = []
     if not all(g in result for g in base.gens):
         diagnostics.append("ordinary power is not contained in the result")
     if not all(g in p.ideal for g in result.gens):
         diagnostics.append("result is not contained in the prime")
-    for w in p.probe_elements():
-        if result.colon(w) != result:
-            diagnostics.append(f"colon by probe {w} moves the result")
+    if probes and result.colon(reduce(mul, probes)) != result:
+        diagnostics += [f"colon by probe {w} moves the result"
+                        for w in probes if result.colon(w) != result]
     if diagnostics:
         raise UncertifiedSymbolicPowerError(
             f"saturation of power {m} failed its contract",

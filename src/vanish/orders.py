@@ -7,13 +7,19 @@ An order is a sort key on exponent tuples.  Supported kinds:
 * ``grevlex``  total degree, ties by reverse lexicographic (the default)
 * ``block``    an elimination order: a leading block of variables compared
                by grevlex first, remaining variables by an inner order
+* ``weighted`` the degree under positive ``weights``, then a smaller
+               exponent of the variable ``last`` ranks higher, ties by
+               grevlex on the other variables (the order of Bayer's
+               criterion for colons by a power of that variable)
 
 A key is a flat tuple of exponent sums over fixed sets of variables (the
 0/1 rows of a matrix order): Python's tuple comparison ranks monomials,
 larger keys meaning larger monomials, and key(a + b) = key(a) + key(b)
 entrywise.  lex keys the exponents; grlex the degree, then all exponents
 but the last; grevlex the prefix sums, longest first; block the grevlex
-key of its eliminated variables, then the inner key of the rest.
+key of its eliminated variables, then the inner key of the rest;
+weighted the weighted degree, that degree less the last variable's
+share, then the grevlex key of the other variables.
 
 A :class:`Packing` of width W, read off the key, maps exponent tuples
 below 2**W to two ints.  K packs the key's entries, the first on top: it
@@ -39,10 +45,21 @@ class MonomialOrder:
     # order used on the remaining block
     elim: tuple[int, ...] = field(default=())
     inner: str = "grevlex"
+    # weighted orders only: a positive weight per variable, and the index
+    # of the variable whose smaller exponents rank higher
+    weights: tuple[int, ...] = field(default=())
+    last: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grlex", "grevlex", "block"):
+        if self.kind not in ("lex", "grlex", "grevlex", "block", "weighted"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
+        if self.kind == "weighted":
+            if not all(type(w) is int and w > 0 for w in self.weights):
+                raise ValueError(f"weights {self.weights} must be positive ints")
+            if not 0 <= self.last < len(self.weights):
+                raise ValueError(f"no variable {self.last} among {len(self.weights)} weights")
+        elif self.weights or self.last:
+            raise ValueError("weights only make sense for weighted orders")
         if self.kind == "block":
             if not self.elim:
                 raise ValueError("block order needs at least one eliminated variable")
@@ -52,14 +69,16 @@ class MonomialOrder:
             raise ValueError("elim indices only make sense for block orders")
         # the key function is chosen once and packings are compiled once
         # per (nvars, width); neither is a field, so equality and hashing
-        # still see only kind, elim and inner
+        # still see only the fields
         object.__setattr__(self, "_key", _block_key(self.elim, _KEYS[self.inner])
-                           if self.kind == "block" else _KEYS[self.kind])
+                           if self.kind == "block"
+                           else _weighted_key(self.weights, self.last)
+                           if self.kind == "weighted" else _KEYS[self.kind])
         object.__setattr__(self, "_packings", {})
 
     def __reduce__(self):
         # rebuild through __init__: the compiled keys are not picklable
-        return MonomialOrder, (self.kind, self.elim, self.inner)
+        return MonomialOrder, (self.kind, self.elim, self.inner, self.weights, self.last)
 
     def key(self, exps: tuple[int, ...]):
         return self._key(exps)
@@ -101,6 +120,17 @@ def _block_key(elim: tuple[int, ...], inner_key):
     elim_set = frozenset(elim)
     return lambda exps: _grevlex(tuple(exps[i] for i in elim)) + inner_key(
         tuple(e for i, e in enumerate(exps) if i not in elim_set))
+
+
+def _weighted_key(weights: tuple[int, ...], last: int):
+    wx = weights[last]
+
+    def key(exps):
+        if len(exps) != len(weights):
+            raise ValueError(f"{len(weights)} weights for {len(exps)} variables")
+        d = sum(map(mul, weights, exps))
+        return (d, d - wx * exps[last], *_grevlex(exps[:last] + exps[last + 1:]))
+    return key
 
 
 class Packing:

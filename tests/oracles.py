@@ -309,6 +309,12 @@ def order_key(order, exps: tuple[int, ...]):
         return (sum(exps), exps)
     if k == "grevlex":
         return _grevlex_key(exps)
+    if k == "weighted":
+        # the weighted degree, then the smaller exponent of the last
+        # variable, then grevlex on the others
+        x = order.last
+        return (sum(w * e for w, e in zip(order.weights, exps)), -exps[x],
+                _grevlex_key(exps[:x] + exps[x + 1:]))
     elim_set = set(order.elim)
     head = tuple(exps[i] for i in order.elim)
     tail = tuple(e for i, e in enumerate(exps) if i not in elim_set)

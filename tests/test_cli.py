@@ -88,6 +88,11 @@ class TestGb:
                            "order": "grevlex", "basis": CURVE_GB_GREVLEX}
         validator.validate(payload)
 
+    def test_weighted_order_is_not_offered(self, run, ideal_file):
+        # the weighted order serves graded colons inside the library only
+        code, _, err = run("gb", "-f", ideal_file, "-i", "curve", "--order", "weighted")
+        assert code == 2 and "grevlex" in err
+
 
 class TestMember:
     def test_yes_no(self, run, ideal_file):

@@ -590,7 +590,17 @@ class TestBuchberger:
             for m in (1, 2):
                 for n in (1, 2):
                     verify_sp2(p, q, m, n)
-        assert len(calls) == 758
+        assert len(calls) == 440
+
+    def test_deep_curve_pair_count(self, monkeypatch):
+        # curve-123-vs-x-plane at m = n = 8: the weighted basis of the
+        # ordinary power, the grevlex basis of its saturation and the
+        # intersection with (x^8) as x^8 (I : x^8), with no tag variable
+        # but in the probe colon
+        _, p, q = next(pair for pair in curated_sp2_pairs() if pair[0] == "curve-123-vs-x-plane")
+        calls = count_divisor_calls(monkeypatch, "pair")
+        assert verify_sp2(p, q, 8, 8).holds
+        assert len(calls) == 430
 
     def test_lex_katsura4_pair_count(self, monkeypatch):
         # lex katsura-4 over GF(32003): a system that is not degree-ranked,
@@ -793,6 +803,16 @@ class TestRemainderTable:
             gb.reduce(f)
             assert gb._divisors.table is None
         assert len(calls) == 2 * len(bases)
+
+    def test_weighted_order_keeps_the_loop(self):
+        # the table needs an order that ranks the standard degree first
+        ring = PolyRing(GF(7), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        order = MonomialOrder("weighted", weights=(1, 2, 3), last=0)
+        gb = Ideal(ring, [x**3 + y*z + 2, y**2 + x*z + 1, z**3 + x**2 + 3]).groebner_basis(order)
+        f = (x + y + z + 1) ** 3
+        assert gb.reduce(f) == gb.reduce(f) == normal_form(f, list(gb), order)
+        assert gb._divisors.table is None
 
     def test_lex_power_is_answered_by_the_loop(self, low_term_cap):
         # in lex the monomials a high power reaches are not bounded by its

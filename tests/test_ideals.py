@@ -658,3 +658,45 @@ def test_monomial_closed_forms_match_enumeration(case):
     assert index == powers.index(powers[-1])
     assert_monomial_ideal(sat, powers[-1], gens_reduced=index > 0)
     assert I.radical_contains(f) == radical_membership(a, ie)
+
+
+@st.composite
+def graded_colon_problems(draw):
+    """One to three generators in x, y, z over QQ or GF(32003), each
+    homogeneous under weights drawn from 1 to 5, and the variable to take
+    the colon by."""
+    ring = PolyRing(draw(st.sampled_from([QQ, GF(32003)])), ("x", "y", "z"))
+    weights = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    degree = lambda e: sum(w * a for w, a in zip(weights, e))     # noqa: E731
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = degree(draw(st.tuples(*[st.integers(0, 2)] * 3).filter(any)))
+        same = [e for e in itertools.product(range(d + 1), repeat=3) if degree(e) == d]
+        terms = draw(st.dictionaries(st.sampled_from(same), st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=3))
+        gens.append(ring.from_terms(terms))
+    return Ideal(ring, gens), draw(st.integers(0, 2)), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_colon_problems())
+def test_graded_colon_matches_the_tag_variable_route(problem):
+    # Bayer's criterion against Ideal.colon, Ideal.saturate (with its
+    # index) and Ideal.intersect, which take a tag variable
+    ideal, var, weights = problem
+    ring = ideal.ring
+    x = ring.gens()[var]
+    for s in (1, 2, 3):
+        colon, _ = ideals._graded_colon(ideal, var, weights, s)
+        assert colon == ideal.colon(x**s)
+        assert Ideal(ring, [x**s * g for g in colon.gens]) == ideal.intersect(Ideal(ring, [x**s]))
+    assert ideals._graded_colon(ideal, var, weights) == ideal.saturate(x)
+
+
+def test_graded_colon_refuses_inhomogeneous_generators(r3):
+    x, y, z = r3.gens()
+    with pytest.raises(ValueError):
+        ideals._graded_colon(Ideal(r3, [x * y - z]), 0)
+    # homogeneous under the weights (1, 1, 2): x^2 y = x (x y - z) + x z
+    sat, index = ideals._graded_colon(Ideal(r3, [x * y - z, x * z]), 0, (1, 1, 2))
+    assert index == 2 and sat == Ideal(r3, [y, z])

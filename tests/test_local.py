@@ -491,6 +491,35 @@ class TestSymbolicPower:
         assert exc.value.diagnostics
         assert exc.value.ideal is not None
 
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded", "colons"])
+    def test_one_moving_probe_is_named_alone(self, graded):
+        # (x, yz) is not prime: its square saturated at y is (x^2, xz, z^2),
+        # which the colon by z moves and those by y and w do not.  A witness
+        # y takes Bayer's criterion and is probed itself; y^2 takes colons
+        ring = PolyRing(QQ, ("x", "y", "z", "w"))
+        x, y, z, w = ring.gens()
+        fake = PrimeWitness(Ideal(ring, [x, y * z]), witness=y if graded else y**2)
+        with pytest.raises(UncertifiedSymbolicPowerError) as exc:
+            symbolic_power(fake, 2)
+        assert exc.value.diagnostics == [
+            "result is not contained in the prime", "colon by probe z moves the result"]
+        assert exc.value.ideal == Ideal(ring, [x**2, x * z, z**2])
+
+    def test_graded_route_probes_the_witness_in_one_colon(self, r3, curve345, monkeypatch):
+        # the saturation ends on no colon by the witness x, so the one probe
+        # colon is by x y z, on the tag-variable route
+        x, y, z = r3.gens()
+        divisors = []
+        orig = Ideal.colon
+
+        def recording(self, divisor):
+            divisors.append(divisor)
+            return orig(self, divisor)
+
+        monkeypatch.setattr(Ideal, "colon", recording)
+        symbolic_power(curve345, 2)
+        assert divisors == [x * y * z]
+
     def test_full_prime_constant_witness(self, r3):
         x, y, z = r3.gens()
         m = PrimeWitness(Ideal(r3, [x, y, z]), witness=r3.one())

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import order_key
+from vanish.fields import QQ
+from vanish.ideals import Ideal
 from vanish.orders import (
     GREVLEX,
     GRLEX,
@@ -14,12 +16,20 @@ from vanish.orders import (
     MonomialOrder,
     elimination_order,
 )
+from vanish.poly import PolyRing
 
 # every kind and every inner order; (1, 3) and (2, 0) are not prefixes
 ALL_ORDERS = [LEX, GRLEX, GREVLEX] + [
     MonomialOrder("block", elim=elim, inner=inner)
     for elim in ((0,), (0, 1), (1, 3), (2, 0))
     for inner in ("lex", "grlex", "grevlex")]
+
+# a weighted order on 1 to 6 variables, weights from 1 to 5, with two
+# exponent tuples of that length
+WEIGHTED_PAIRS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.builds(lambda w, last: MonomialOrder("weighted", weights=tuple(w), last=last),
+              st.lists(st.integers(1, 5), min_size=n, max_size=n), st.integers(0, n - 1)),
+    *[st.lists(st.integers(0, 5), min_size=n, max_size=n).map(tuple)] * 2))
 
 # two exponent tuples of one length, 4 to 6 variables
 EXPONENT_PAIRS = st.integers(4, 6).flatmap(lambda n: st.tuples(
@@ -177,3 +187,50 @@ class TestOrderIdentity:
         assert copy == order
         assert copy.key((1, 2, 3, 4)) == order.key((1, 2, 3, 4))
         assert copy.packing(4).pack((1, 2, 3, 4)) == order.packing(4).pack((1, 2, 3, 4))
+
+    def test_weighted_identity_is_its_weights_and_last_variable(self):
+        order = MonomialOrder("weighted", weights=(3, 4, 5), last=1)
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy == order and hash(copy) == hash(order)
+        assert copy.key((1, 2, 3)) == order.key((1, 2, 3))
+        assert copy.packing(3).pack((1, 2, 3)) == order.packing(3).pack((1, 2, 3))
+        others = [MonomialOrder("weighted", weights=(3, 4, 6), last=1),
+                  MonomialOrder("weighted", weights=(3, 4, 5), last=2)]
+        assert all(o != order for o in others)
+
+    def test_weighted_orders_keep_their_bases_apart(self):
+        # the ideal caches a basis per order, and orders differing only in
+        # the last variable give different reduced bases here
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        x, y, z = ring.gens()
+        ideal = Ideal(ring, [y**3 - x**2 * z, x * z - y**2])
+        by_x, by_z = (MonomialOrder("weighted", weights=(1, 1, 1), last=i) for i in (0, 2))
+        a, b = ideal.groebner_basis(by_x), ideal.groebner_basis(by_z)
+        assert set(ideal._gb_cache) == {by_x, by_z}
+        assert a.polys != b.polys and a.is_reduced() and b.is_reduced()
+
+    def test_weighted_validation(self):
+        for weights, last in (((1, 0, 2), 0), ((1, -2, 2), 0), ((), 0), ((1, 2), 2),
+                              ((1, 2), -1), ((1.5, 2), 0)):
+            with pytest.raises(ValueError):
+                MonomialOrder("weighted", weights=weights, last=last)
+        with pytest.raises(ValueError):
+            MonomialOrder("grevlex", weights=(1, 1))
+        with pytest.raises(ValueError):     # three weights for four variables
+            MonomialOrder("weighted", weights=(1, 2, 3), last=0).key((1, 0, 0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTED_PAIRS)
+def test_weighted_key_matches_reference_and_packs(case):
+    order, a, b = case
+    ka, kb = order.key(a), order.key(b)
+    assert (ka < kb) == (order_key(order, a) < order_key(order, b))
+    assert (ka == kb) == (a == b)
+    assert order.key(tuple(x + y for x, y in zip(a, b))) == tuple(x + y for x, y in zip(ka, kb))
+    assert min(ka) >= 0
+    packing = order.packing(len(a), 200)
+    (pa, ea), (pb, eb) = packing.pack(a), packing.pack(b)
+    assert (pa < pb) == (ka < kb) and packing.unpack(ea) == a
+    ta, tb = (tuple(packing.limit - 1 - x for x in t) for t in (a, b))
+    assert (packing.pack(ta)[0] < packing.pack(tb)[0]) == (order.key(ta) < order.key(tb))

@@ -126,6 +126,19 @@ def test_overflow_is_caught_in_one_widening_helper():
     assert len(handlers) == 1 and owners == ["_widening"]
 
 
+def test_graded_colon_takes_no_tag_variable():
+    # Bayer's criterion divides one weighted basis: the helper reaches no
+    # colon, intersection, saturation or elimination, whose tag-variable
+    # route stays independent of it for the probes
+    tree = ast.parse((SRC / "ideals.py").read_text())
+    helper = next(f for f in tree.body
+                  if isinstance(f, ast.FunctionDef) and f.name == "_graded_colon")
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(helper) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Attribute, ast.Name))}
+    assert called and not called & {"colon", "intersect", "saturate", "eliminate", "adjoin"}
+
+
 def test_sites_are_found():
     source = ("try:\n    f()\nexcept (KeyError, E):\n    pass\n"
               "def g():\n    def h():\n        return f(1)\n    return [f()]\n"
