@@ -491,13 +491,16 @@ class TestSymbolicPower:
         assert exc.value.diagnostics
         assert exc.value.ideal is not None
 
+    @pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y", "z", "w")])
     @pytest.mark.parametrize("graded", [True, False], ids=["graded", "colons"])
-    def test_one_moving_probe_is_named_alone(self, graded):
+    def test_one_moving_probe_is_named_alone(self, graded, names):
         # (x, yz) is not prime: its square saturated at y is (x^2, xz, z^2),
         # which the colon by z moves and those by y and w do not.  A witness
-        # y takes Bayer's criterion and is probed itself; y^2 takes colons
-        ring = PolyRing(QQ, ("x", "y", "z", "w"))
-        x, y, z, w = ring.gens()
+        # y takes Bayer's criterion and is probed itself; y^2 takes colons.
+        # In x, y, z with witness y these are the diagnostics of
+        # test_fake_prime_fails_certification
+        ring = PolyRing(QQ, names)
+        x, y, z = ring.gens()[:3]
         fake = PrimeWitness(Ideal(ring, [x, y * z]), witness=y if graded else y**2)
         with pytest.raises(UncertifiedSymbolicPowerError) as exc:
             symbolic_power(fake, 2)
