@@ -322,19 +322,17 @@ class Ideal:
         return out
 
 
-def _graded_colon(ideal: Ideal, var: int, weights=None,
-                  s: int | None = None) -> tuple[Ideal, int]:
-    """(I : x^s, max a_g) for x the variable ``var`` and s a positive int,
-    or None for I : x^infinity, from one basis of I in the weighted order
-    of ``weights`` (unit weights when None) and x.
+def _graded_colon(ideal: Ideal, var: int, weights=None) -> tuple[Ideal, int]:
+    """(I : x^infinity, max a_g), x the variable ``var``, from one basis of
+    I in the weighted order of ``weights`` (unit weights when None) and x.
 
     Bayer's criterion (Bayer and Stillman, 1987; Eisenbud, Prop. 15.12):
     for I homogeneous under positive weights and G its basis in an order
     refining their degree in which a smaller x-exponent ranks higher, each
     g in G is homogeneous with x^a_g dividing all its terms, a_g being the
-    x-exponent of lt(g), and the g / x^min(s, a_g) generate I : x^s.  So
-    I : x^s is I : x^infinity exactly when s >= max a_g.  No tag variable,
-    colon or intersection is used."""
+    x-exponent of lt(g), and the g / x^a_g generate I : x^infinity, which
+    is I : x^s exactly when s >= max a_g.  No tag variable, colon or
+    intersection is used."""
     ring = ideal.ring
     weights = weights or (1,) * ring.nvars
     if not all(g.is_homogeneous(weights) for g in ideal.gens):
@@ -343,10 +341,9 @@ def _graded_colon(ideal: Ideal, var: int, weights=None,
     quotients, index = [], 0
     for g in ideal.groebner_basis(order):
         a = g.leading_exps(order)[var]
-        k = a if s is None else min(s, a)
         index = max(index, a)
         quotients.append(Polynomial(ring, {
-            e[:var] + (e[var] - k,) + e[var + 1:]: c for e, c in g.terms.items()}))
+            e[:var] + (e[var] - a,) + e[var + 1:]: c for e, c in g.terms.items()}))
     if all(q.is_monomial() for q in quotients):
         return _monomial_ideal(ring, [e for q in quotients for e in q.terms]), index
     return Ideal(ring, quotients), index

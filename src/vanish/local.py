@@ -168,9 +168,14 @@ class PrimeWitness:
             raise ValueError(
                 f"claimed dimension {claimed_dim} but the ideal has dimension {dim}")
         self.claimed_dim = dim
+        # indices of the variables outside the prime, which symbolic_power proves regular
+        self.outside = tuple(i for i, v in enumerate(self.ring.gens()) if v not in ideal)
 
         if witness is None:
-            witness = self._default_witness()
+            # the first variable outside the prime; when the prime is the full
+            # coordinate ideal its powers are already primary, so a unit
+            # witness makes saturation a no-op
+            witness = self.ring.gens()[self.outside[0]] if self.outside else self.ring.one()
         if witness.ring != self.ring:
             raise WitnessError(f"witness lives in {witness.ring}, not {self.ring}")
         if witness.is_zero():
@@ -180,7 +185,7 @@ class PrimeWitness:
         if witness.is_constant():
             # only legitimate for the full coordinate prime, whose powers
             # are already primary so saturation must be a no-op
-            if any(self.ring.variable(n) not in ideal for n in self.ring.variables):
+            if self.outside:
                 raise WitnessError(
                     "constant witness is only valid when every variable "
                     "lies in the prime")
@@ -200,15 +205,6 @@ class PrimeWitness:
             self.isolated_singularity_certified = False
         self._symbolic_cache: dict[int, Ideal] = {}
 
-    def _default_witness(self) -> Polynomial:
-        # the first variable outside the prime; when the prime is the full
-        # coordinate ideal its powers are already primary, so a unit
-        # witness makes saturation a no-op
-        return next(self._variables_outside(), self.ring.one())
-
-    def _variables_outside(self):
-        return (v for v in self.ring.gens() if v not in self.ideal)
-
     @property
     def certified(self) -> bool:
         return (self.is_coordinate_subspace or self.is_principal
@@ -222,7 +218,8 @@ class PrimeWitness:
     def probe_elements(self) -> list[Polynomial]:
         """The variables outside the prime other than the witness, which
         ``symbolic_power`` probes on its own route when it needs to."""
-        return [v for v in self._variables_outside() if v != self.witness]
+        return [v for i, v in enumerate(self.ring.gens())
+                if i in self.outside and v != self.witness]
 
     def __repr__(self):
         return (f"PrimeWitness({self.ideal!r}, dim={self.claimed_dim}, "
@@ -299,7 +296,7 @@ def symbolic_power(p: PrimeWitness, m: int) -> Ideal:
     if cached is not None:
         return cached
     base = p.ideal ** m
-    probes = list(p._variables_outside())
+    probes = [v for i, v in enumerate(p.ring.gens()) if i in p.outside]
     if p.graded_bridge_ok and p.witness in probes:
         result, _ = _graded_colon(base, next(iter(p.witness.terms)).index(1), p.weights)
     else:

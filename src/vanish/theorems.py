@@ -20,7 +20,7 @@ from functools import reduce
 
 from .errors import UncertifiedSymbolicPowerError
 from .groebner import GroebnerBasis
-from .ideals import Ideal, _graded_colon, adjoin, coordinate_prime
+from .ideals import Ideal, adjoin, coordinate_prime
 from .local import PrimeWitness, ord_along, symbolic_power
 from .orders import GREVLEX
 from .poly import Polynomial, PolyRing, positive_int
@@ -97,29 +97,35 @@ def _verify_symbolic(claim: str, primes, exponents, timings: dict[str, float],
         powers = _timed(timings, "symbolic", lambda: [
             symbolic_power(p, n) for p, n in zip(primes, exponents)])
         basis = _timed(timings, "intersection", lambda: reduce(
-            _meet, zip(powers, (p.weights for p in primes)))[0].groebner_basis().polys)
+            _meet, zip(powers, (frozenset(p.outside) for p in primes)))[0].groebner_basis().polys)
         return _timed(timings, "check", check, basis)
     return _verify(claim, hyp, applicable, primes, data, timings, run)
 
 
 def _meet(left, right):
-    """The intersection of two (ideal, weights) pairs, as a pair.  When one
-    side's reduced basis is a pure power x^n and the other, not monomial,
-    has generators homogeneous under its weights, the intersection is
-    x^n (I : x^n), by Bayer's criterion; its reduced grevlex basis is x^n
-    times that of I : x^n, since multiplying by a monomial keeps a
-    reduced basis reduced.  Anything else takes ``Ideal.intersect``."""
-    for (I, w), (J, _) in (left, right), (right, left):
-        power = J.groebner_basis().polys
-        if len(power) == 1 and power[0].is_monomial() and not I.is_monomial_ideal():
-            (e,) = power[0].terms
-            support = [i for i, a in enumerate(e) if a]
-            if len(support) == 1 and all(g.is_homogeneous(w) for g in I.gens):
-                colon, _ = _graded_colon(I, support[0], w, e[support[0]])
-                out = Ideal(I.ring, [power[0] * g for g in colon.groebner_basis()])
-                out._gb_cache[GREVLEX] = GroebnerBasis(I.ring, GREVLEX, out.gens)
-                return out, w
-    return left[0].intersect(right[0]), left[1]
+    """The intersection of two (ideal, regular) pairs, as a pair, where
+    ``regular`` holds the indices of variables v with I : v = I, which
+    ``symbolic_power``'s post-check proves for each one outside the prime;
+    the result keeps those regular on both sides.
+
+    For h regular on R/I, I cap (h) = h (I : h) = h I, with no Buchberger
+    run.  h is so when (R1) a monomial in regular variables, or (R2) I is
+    monomial and h lies outside the prime Q of the other variables:
+    the associated primes of a monomial ideal are generated by variables
+    and hold no regular one, so all lie in Q, a coordinate prime's own
+    for its symbolic powers.  The reduced grevlex basis is h times I's,
+    interreduced once unless h is a monomial; else ``Ideal.intersect``."""
+    regular = left[1] & right[1]
+    for (I, reg), (J, _) in (left, right), (right, left):
+        basis = J.groebner_basis().polys
+        h = basis[0] if len(basis) == 1 else None
+        if h and (h.is_monomial() or I.is_monomial_ideal()) and any(
+                all(a == 0 or i in reg for i, a in enumerate(e)) for e in h.terms):
+            out = Ideal(I.ring, [h * g for g in I.groebner_basis()])
+            out._gb_cache[GREVLEX] = (GroebnerBasis if h.is_monomial() else
+                                      GroebnerBasis.from_minimal)(I.ring, GREVLEX, out.gens)
+            return out, regular
+    return left[0].intersect(right[0]), regular
 
 
 def _order_check(bound: int, data: dict):

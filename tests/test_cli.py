@@ -41,6 +41,9 @@ FIXTURE_JSON_SHA256 = {
     "ci": "7a6fe6d9c39cf2e128c356dd08d8d6f7bbab9e5c75e252cdfc45377858d7bcd0",
     "affine": "1d12aec00f8c586c40adff20971117748f94928d3978c0232adaa7e985e3fc73",
 }
+# sha256 of `vanish verify sp2 --fixtures --max-exp 6 --json` (218 reports),
+# recorded before symbolic powers met principal ones by a product
+SP2_MAX_EXP_6_JSON_SHA256 = "7eb8ac0c6dea6543f8fa8c87f7aadd222e12254b8da3418ba1a1c27d1dbfde5f"
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +436,14 @@ class TestDeterminism:
         assert (code, out) == (0, "")
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == FIXTURE_JSON_SHA256[mode]
+
+    def test_sp2_past_the_default_exponents_matches_recorded_digest(self, run, tmp_path):
+        target = tmp_path / "sp2.json"
+        code, out, _ = run("verify", "sp2", "--fixtures", "--max-exp", "6", "--json",
+                           "--out", str(target))
+        assert (code, out) == (0, "")
+        assert len(json.loads(target.read_text(encoding="utf-8"))["reports"]) == 218
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == SP2_MAX_EXP_6_JSON_SHA256
 
     def test_out_matches_stdout(self, run, ideal_file, tmp_path):
         _, stdout_text, _ = run("dim", "-f", ideal_file, "-i", "curve")

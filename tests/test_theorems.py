@@ -1,19 +1,30 @@
 """Verifier behavior: hypothesis gating, witnesses, and the fixture
 suites end to end."""
 
-import pytest
+import itertools
+from functools import lru_cache
+from unittest import mock
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from vanish import ideals
 from vanish.errors import RingMismatchError
+from vanish.fields import GF, QQ
 from vanish.fixtures import (
     crossing_lines_pair,
+    curated_sp2_pairs,
     curve_345,
     fixture_reports,
     ring_q,
     transverse_split_pair,
 )
 from vanish.ideals import Ideal, coordinate_prime
-from vanish.local import PrimeWitness
+from vanish.local import PrimeWitness, symbolic_power
+from vanish.poly import PolyRing
 from vanish.theorems import (
+    _meet,
     affine_vanishing_report,
     check_hypotheses,
     full_coordinate_prime,
@@ -56,6 +67,76 @@ class TestHypotheses:
     def test_full_coordinate_prime(self, r3):
         assert full_coordinate_prime(r3) == coordinate_prime(
             r3, ["x", "y", "z"])
+
+
+@lru_cache(maxsize=None)
+def meet_primes(field):
+    """The curated non-coordinate primes over ``field``, then (x, y^2 + z^2),
+    which holds x, then every coordinate prime of k[x, y, z]."""
+    ring = PolyRing(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    curated = [monomial_curve_prime(ring, (3, 4, 5)), monomial_curve_prime(ring, (1, 2, 3))]
+    curated += [PrimeWitness(Ideal(ring, [f])) for f in (x + y + z, y**2 - x*z, x**2 + y**2 + z**2)]
+    coordinate = [PrimeWitness(coordinate_prime(ring, names)) for k in (1, 2, 3)
+                  for names in itertools.combinations(ring.variables, k)]
+    return ring, curated + [PrimeWitness(Ideal(ring, [x, y**2 + z**2]))], coordinate
+
+
+@st.composite
+def meet_problems(draw):
+    """(symbolic power, the variables regular on it, h, h regular on it):
+    a curated or a variable-holding prime against a power of a variable,
+    or a coordinate-prime power against a random h, half the time pushed
+    into the prime by a variable of it."""
+    ring, curved, coordinate = meet_primes(draw(st.sampled_from([QQ, GF(32003)])))
+    gens = ring.gens()
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(curved))
+        v = draw(st.integers(0, 2))
+        h, regular = gens[v] ** draw(st.integers(1, 3)), v in p.outside
+    else:
+        p = draw(st.sampled_from(coordinate))
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                                     st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+        h = ring.from_terms(terms)
+        if draw(st.booleans()):
+            h = h * gens[draw(st.sampled_from([i for i in range(3) if i not in p.outside]))]
+        regular = h not in p.ideal
+    return symbolic_power(p, draw(st.integers(1, 3))), frozenset(p.outside), h, regular
+
+
+@settings(max_examples=150, deadline=None)
+@given(meet_problems())
+def test_product_meet_matches_the_tag_variable_route(problem):
+    # I cap (h) is h I exactly when h is regular on R/I: the meet must take
+    # the product then, and Ideal.intersect otherwise
+    power, outside, h, regular = problem
+    principal = Ideal(power.ring, [h])
+    intersect = Ideal.intersect
+    expected = intersect(power, principal)
+    assert (Ideal(power.ring, [h * g for g in power.gens]) == expected) == regular
+    for left, right in ((power, outside), (principal, frozenset())), \
+            ((principal, frozenset()), (power, outside)):
+        with mock.patch.object(Ideal, "intersect", autospec=True, side_effect=intersect) as spy:
+            out, kept = _meet(left, right)
+        assert spy.called != regular
+        assert out == expected and kept == frozenset()
+        assert out.groebner_basis() == Ideal(power.ring, out.gens).groebner_basis()
+
+
+def test_curated_pairs_meet_with_no_buchberger_run(monkeypatch):
+    # a curve meets a plane by R1, a principal or coordinate prime meets a
+    # coordinate one by R2; the symbolic powers come with their bases
+    sides = [((symbolic_power(p, m), frozenset(p.outside)),
+              (symbolic_power(q, n), frozenset(q.outside)))
+             for _, p, q in curated_sp2_pairs() for m in (1, 2, 3) for n in (1, 2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("the meet ran Buchberger")
+
+    monkeypatch.setattr(ideals, "buchberger", refuse)
+    for left, right in sides:
+        assert _meet(left, right)[0].groebner_basis()
 
 
 class TestSp2:
