@@ -27,8 +27,8 @@ from .errors import (
 )
 from .ideals import Ideal, _graded_colon, independent_sets
 from .orders import GREVLEX
-from .poly import Polynomial, PolyRing, minimal_exponents, positive_int
-from .reports import VerificationReport
+from .poly import Polynomial, PolyRing, _wdeg, minimal_exponents, positive_int
+from .reports import HypothesisReport, VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -50,37 +50,55 @@ class HilbertData:
 
 
 @lru_cache(maxsize=None)
-def _hilbert_numerator(exps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Numerator of the Hilbert series of R/(monomials) over (1-t)^d.
+def _hilbert_numerator(exps: tuple[tuple[int, ...], ...],
+                       weights: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Numerator of the Hilbert series of R/(monomials) over the product of
+    the 1 - t^w_i, w the positive ``weights`` (unit weights when None).
 
-    ``exps``, the cache key, is an antichain in (degree, exps) order.  It
-    slices on the last variable x (Bayer-Stillman): with 0 = a_0 < ... <
+    The arguments are the cache key, in which unit weights are left out;
+    ``exps`` is an antichain in (degree, exps) order.  It slices on the
+    last variable x, of weight w (Bayer-Stillman): with 0 = a_0 < ... <
     a_K the distinct x-exponents, 0 included, and J_a the minimal x-free
     parts of the generators of x-degree <= a (those of I : x^a),
 
-        N(I) = sum_{k<K} (t^a_k - t^a_(k+1)) N(J_a_k) + t^a_K N(J_a_K).
+        N(I) = sum_{k<K} (t^(w a_k) - t^(w a_(k+1))) N(J_a_k) + t^(w a_K) N(J_a_K).
 
     Each J_a has one variable fewer: the recursion is at most nvars + 1
     calls deep.  Every standard-monomial count, local lengths included,
-    goes through it, bounded by the term cap in ``_series``.
+    goes through it, bounded by the term cap in ``_numerator``.
     """
     if not exps:
         return (1,)
     if not any(exps[0]):
         return (0,)
+    w, tail = (weights[-1], (weights[:-1],)) if weights else (1, ())
     layers: dict[int, list[tuple[int, ...]]] = {0: []}
     for e in exps:
         layers.setdefault(e[-1], []).append(e[:-1])
     cuts = sorted(layers)
-    out = [0] * (sum(map(max, zip(*exps))) + 1)
+    out = [0] * (_wdeg(tuple(map(max, zip(*exps))), weights) + 1)
     free: tuple[tuple[int, ...], ...] = ()
     for a, b in zip(cuts, cuts[1:] + [None]):
         free = minimal_exponents(free + tuple(layers[a]))
-        for i, c in enumerate(_hilbert_numerator(free)):
-            out[a + i] += c
+        for i, c in enumerate(_hilbert_numerator(free, *tail)):
+            out[w * a + i] += c
             if b is not None:
-                out[b + i] -= c
+                out[w * b + i] -= c
     return tuple(out)
+
+
+def _numerator(antichain: tuple[tuple[int, ...], ...],
+               weights: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """``_hilbert_numerator`` with its trailing zeros dropped.  It has at
+    most deg(lcm) + 1 coefficients, the degree weighted; more than the
+    term cap is refused before any is formed."""
+    cap = term_cap()
+    if _wdeg(tuple(map(max, zip(*antichain))), weights) >= cap:
+        raise term_cap_error("Hilbert numerator has more coefficients than", cap)
+    h = _hilbert_numerator(antichain, *(weights,) if weights else ())
+    while len(h) > 1 and h[-1] == 0:
+        h = h[:-1]
+    return h
 
 
 def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
@@ -101,21 +119,14 @@ def hilbert_series(lt_gens, ring: PolyRing) -> HilbertData:
 
 def _series(antichain: tuple[tuple[int, ...], ...], nvars: int) -> HilbertData:
     """Hilbert data of k[x_1..x_nvars] modulo the monomials of ``antichain``,
-    which must be in (degree, exps) order, the numerator's cache key.  The
-    numerator has at most deg(lcm) + 1 coefficients; more than the term
-    cap is refused before any is formed."""
-    cap = term_cap()
-    if sum(map(max, zip(*antichain))) >= cap:
-        raise term_cap_error("Hilbert numerator has more coefficients than", cap)
-    h = _hilbert_numerator(antichain)
+    which must be in (degree, exps) order, the numerator's cache key."""
+    h = _numerator(antichain)
     if not any(h):
         return HilbertData((0,), -1, 0)
     dim = nvars
     while sum(h) == 0:
         h = tuple(itertools.accumulate(h))[:-1]     # exact quotient by 1 - t
         dim -= 1
-    while len(h) > 1 and h[-1] == 0:
-        h = h[:-1]
     return HilbertData(h, dim, sum(h))
 
 
@@ -204,6 +215,8 @@ class PrimeWitness:
         except NonHomogeneousError:
             self.isolated_singularity_certified = False
         self._symbolic_cache: dict[int, Ideal] = {}
+        # theorems.check_hypotheses's report for each partner prime
+        self._hypotheses_cache: dict[PrimeWitness, HypothesisReport] = {}
 
     @property
     def certified(self) -> bool:
@@ -217,7 +230,7 @@ class PrimeWitness:
 
     def probe_elements(self) -> list[Polynomial]:
         """The variables outside the prime other than the witness, which
-        ``symbolic_power`` probes on its own route when it needs to."""
+        ``symbolic_power`` probes on its colon route."""
         return [v for i, v in enumerate(self.ring.gens())
                 if i in self.outside and v != self.witness]
 
@@ -281,41 +294,65 @@ def symbolic_power(p: PrimeWitness, m: int) -> Ideal:
     """The m-th symbolic power, as a witness saturation with a post-check.
 
     A graded prime (``graded_bridge_ok``) with a variable as witness is
-    saturated by Bayer's criterion, and the witness joins the probes;
-    any other by colons, which stop only when one by the witness moves
+    saturated by Bayer's criterion, and each variable outside the prime,
+    the witness included, is probed by ``_regular_by_restriction``; any
+    other by colons, which stop only when one by the witness moves
     nothing.  The returned ideal always sits between the ordinary power
     and the prime, so its radical is the prime (each generator g of the
     prime has g^m in the ordinary power), and it is stable under colon by
-    every probe: I : (w_1...w_k) is I exactly when every I : w_i is, so
-    one tag-variable colon by the product probes them all, and only when
-    it moves the result is each run alone, to name the failures.  Any
-    violated probe raises instead of returning a wrong ideal.
+    every probe.  On the colon route I : (w_1...w_k) is I exactly when
+    every I : w_i is, so one tag-variable colon by the product probes
+    them all; only when it moves the result is each run alone, to name
+    the failures.  Any violated probe raises instead of returning a wrong
+    ideal.
     """
     m = positive_int(m)
     cached = p._symbolic_cache.get(m)
     if cached is not None:
         return cached
     base = p.ideal ** m
-    probes = [v for i, v in enumerate(p.ring.gens()) if i in p.outside]
-    if p.graded_bridge_ok and p.witness in probes:
-        result, _ = _graded_colon(base, next(iter(p.witness.terms)).index(1), p.weights)
+    gens = p.ring.gens()
+    if p.graded_bridge_ok and p.witness in gens:
+        result, _ = _graded_colon(base, gens.index(p.witness), p.weights)
+        moved = [gens[i] for i in p.outside
+                 if not _regular_by_restriction(result, i, p.weights)]
     else:
         result, _ = base.saturate(p.witness)
         probes = p.probe_elements()
+        moved = ([w for w in probes if result.colon(w) != result]
+                 if probes and result.colon(reduce(mul, probes)) != result else [])
     diagnostics = []
     if not all(g in result for g in base.gens):
         diagnostics.append("ordinary power is not contained in the result")
     if not all(g in p.ideal for g in result.gens):
         diagnostics.append("result is not contained in the prime")
-    if probes and result.colon(reduce(mul, probes)) != result:
-        diagnostics += [f"colon by probe {w} moves the result"
-                        for w in probes if result.colon(w) != result]
+    diagnostics += [f"colon by probe {w} moves the result" for w in moved]
     if diagnostics:
         raise UncertifiedSymbolicPowerError(
             f"saturation of power {m} failed its contract",
             diagnostics=diagnostics, ideal=result)
     p._symbolic_cache[m] = result
     return result
+
+
+def _regular_by_restriction(ideal: Ideal, var: int, weights) -> bool:
+    """Whether I : x = I, x the variable ``var``, for I homogeneous under
+    the positive ``weights`` (unit weights when None).
+
+    Let J be generated by I's reduced grevlex basis with x set to 0.  Then
+    I + (x) = J + (x), and x is regular on R/J, whose generators are free
+    of it.  HS(R/(I + (x))) = (1 - t^w_x) HS(R/I) exactly when x is
+    regular on R/I (Bayer and Stillman, 1987), so I : x = I exactly when
+    R/I and R/J have the same weighted Hilbert numerator, each read off
+    its grevlex leading terms.  It forms one grevlex basis, of J, and none
+    when J is monomial; no colon, intersection or tag variable."""
+    basis = ideal.groebner_basis().polys
+    cut = Ideal(ideal.ring, [Polynomial(ideal.ring, {
+        e: c for e, c in g.terms.items() if not e[var]}) for g in basis])
+    lead = cut.gens if all(g.is_monomial() for g in cut.gens) else cut.groebner_basis().polys
+    h_i, h_j = (_numerator(minimal_exponents(g.leading_exps(GREVLEX) for g in polys), weights)
+                for polys in (basis, lead))
+    return h_i == h_j
 
 
 def ord_along(p: PrimeWitness, f: Polynomial, max_order: int | None = None) -> int:

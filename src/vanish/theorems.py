@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from functools import reduce
 
 from .errors import UncertifiedSymbolicPowerError
@@ -51,8 +52,14 @@ def _pair_report(ideals, dims) -> HypothesisReport:
 
 
 def check_hypotheses(p: PrimeWitness, q: PrimeWitness) -> HypothesisReport:
-    """Radical-of-sum and dimension-count conditions for a prime pair."""
-    return _pair_report([p.ideal, q.ideal], [p.claimed_dim, q.claimed_dim])
+    """Radical-of-sum and dimension-count conditions for a prime pair,
+    decided once per pair: the report is held on p, keyed by q, and each
+    call returns its own copy."""
+    hyp = p._hypotheses_cache.get(q)
+    if hyp is None:
+        hyp = p._hypotheses_cache[q] = _pair_report(
+            [p.ideal, q.ideal], [p.claimed_dim, q.claimed_dim])
+    return replace(hyp, notes=list(hyp.notes))
 
 
 def _timed(timings: dict[str, float], phase: str, fn, *args):

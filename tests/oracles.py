@@ -250,6 +250,36 @@ def numerator_by_counting(lt_gens: list[tuple[int, ...]], nvars: int,
     return tuple(coeffs)
 
 
+def monomials_of_weighted_degree(weights: tuple[int, ...],
+                                 degree: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple e with sum w_i e_i equal to ``degree``."""
+    return [e for e in itertools.product(*(range(degree // w + 1) for w in weights))
+            if sum(w * a for w, a in zip(weights, e)) == degree]
+
+
+def weighted_numerator_by_counting(lt_gens: list[tuple[int, ...]],
+                                   weights: tuple[int, ...]) -> tuple[int, ...]:
+    """h(t) with sum_d H(d) t^d = h(t) / prod (1 - t^w_i), H(d) the count of
+    standard monomials of weighted degree d, trailing zeros stripped.
+
+    h has weighted degree at most that of the lcm of the generators, so
+    counting one degree past it shows the truncated product is exact.
+    """
+    top = sum(w * max(col) for w, col in zip(weights, zip(*lt_gens))) if lt_gens else 0
+    coeffs = [0] * (top + 2)
+    for m in itertools.product(*(range((top + 1) // w + 1) for w in weights)):
+        d = sum(w * a for w, a in zip(weights, m))
+        if d <= top + 1 and not membership_by_divisibility(m, lt_gens):
+            coeffs[d] += 1
+    for w in weights:
+        coeffs = [c - (coeffs[i - w] if i >= w else 0) for i, c in enumerate(coeffs)]
+    if coeffs[-1]:
+        raise AssertionError(f"numerator past weighted degree {top}: {coeffs}")
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # dimension of a monomial-ideal quotient via minimal vertex covers
 # ---------------------------------------------------------------------------

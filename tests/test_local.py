@@ -6,14 +6,16 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from oracles import (
     local_length_by_box,
     monomial_dimension,
     monomials_of_degree,
     multiplicity_by_differences,
+    monomials_of_weighted_degree,
     numerator_by_counting,
+    weighted_numerator_by_counting,
 )
 from vanish import local
 from vanish.errors import (
@@ -23,7 +25,7 @@ from vanish.errors import (
     UnitIdealError,
     WitnessError,
 )
-from vanish.fields import QQ
+from vanish.fields import GF, QQ
 from vanish.ideals import Ideal, coordinate_prime
 from vanish.local import (
     HilbertData,
@@ -37,7 +39,7 @@ from vanish.local import (
     symbolic_power,
     verify_isolated_singularity,
 )
-from vanish.poly import PolyRing
+from vanish.poly import PolyRing, minimal_exponents
 from vanish.theorems import monomial_curve_prime
 
 
@@ -167,6 +169,25 @@ class TestHilbertSeriesDifferential:
         assert data.numerator == numerator_by_counting(gens, nvars, dim)
         assert data.multiplicity == multiplicity_by_differences(
             gens, nvars, dim, up_to_degree=top + nvars + 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5),
+        st.tuples(*[st.integers(1, 5)] * n))))
+    def test_weighted_numerator_matches_counting(self, case):
+        # weighted standard monomials counted one by one; the recursion's
+        # raw numerator has one coefficient per weighted degree of the lcm
+        gens, weights = case
+        antichain = minimal_exponents(gens)
+        want = weighted_numerator_by_counting(gens, weights)
+        got = local._hilbert_numerator(antichain, weights)
+        top = sum(w * max(col) for w, col in zip(weights, zip(*antichain))) if antichain else 0
+        assert len(got) == top + 1 or got == (0,)
+        assert got[:len(want)] == want and not any(got[len(want):])
+        # unit weights give the unit-weight numerator, kept out of the cache key
+        unit = (1,) * len(weights)
+        assert local._numerator(antichain, unit) == local._numerator(antichain) == \
+            weighted_numerator_by_counting(gens, unit)
 
 
 def all_monomials_up_to(nvars, maxdeg):
@@ -508,25 +529,76 @@ class TestSymbolicPower:
             "result is not contained in the prime", "colon by probe z moves the result"]
         assert exc.value.ideal == Ideal(ring, [x**2, x * z, z**2])
 
-    def test_graded_route_probes_the_witness_in_one_colon(self, r3, curve345, monkeypatch):
-        # the saturation ends on no colon by the witness x, so the one probe
-        # colon is by x y z, on the tag-variable route
-        x, y, z = r3.gens()
-        divisors = []
-        orig = Ideal.colon
+    def test_graded_route_probes_every_variable_with_no_colon(self, r3, curve345, monkeypatch):
+        # Bayer's criterion saturates at the witness x, and the restriction
+        # probe reads Hilbert numerators for x, y and z: no colon is taken
+        colons, probed = [], []
+        colon, probe = Ideal.colon, local._regular_by_restriction
 
-        def recording(self, divisor):
-            divisors.append(divisor)
-            return orig(self, divisor)
+        def recording_colon(self, divisor):
+            colons.append(divisor)
+            return colon(self, divisor)
 
-        monkeypatch.setattr(Ideal, "colon", recording)
+        def recording_probe(ideal, var, weights):
+            probed.append(r3.variables[var])
+            return probe(ideal, var, weights)
+
+        monkeypatch.setattr(Ideal, "colon", recording_colon)
+        monkeypatch.setattr(local, "_regular_by_restriction", recording_probe)
         symbolic_power(curve345, 2)
-        assert divisors == [x * y * z]
+        assert colons == []
+        assert probed == ["x", "y", "z"]
 
     def test_full_prime_constant_witness(self, r3):
         x, y, z = r3.gens()
         m = PrimeWitness(Ideal(r3, [x, y, z]), witness=r3.one())
         assert symbolic_power(m, 2) == m.ideal**2
+
+
+@st.composite
+def weighted_homogeneous_ideals(draw):
+    """(ideal, weights, var): one to three generators homogeneous under
+    weights in 1..5, in 3-4 variables over QQ or GF(32003).  Each generator
+    is multiplied by the probed variable x with even odds, so many draws
+    have x dividing zero on R/I."""
+    nvars = draw(st.integers(3, 4))
+    field = draw(st.sampled_from([QQ, GF(32003)]))
+    weights = draw(st.tuples(*[st.integers(1, 5)] * nvars))
+    ring = PolyRing(field, ("x", "y", "z", "w")[:nvars])
+    var = draw(st.integers(0, nvars - 1))
+    gens = []
+    degrees = [d for d in range(1, 9) if monomials_of_weighted_degree(weights, d)]
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_weighted_degree(weights, draw(st.sampled_from(degrees)))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=min(2, len(monos)),
+                              max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(1, 9), min_size=len(terms), max_size=len(terms)))
+        g = sum((c * ring.monomial(e) for e, c in zip(terms, coeffs)), ring.zero())
+        gens.append(g * ring.gens()[var] if draw(st.booleans()) else g)
+    return Ideal(ring, gens), weights, var
+
+
+def _probe_case(field, gens, weights, var):
+    ring = PolyRing(field, ("x", "y", "z"))
+    return Ideal(ring, gens(*ring.gens())), weights, var
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_homogeneous_ideals())
+# x divides zero: y lies in I : x and not in I
+@example(_probe_case(QQ, lambda x, y, z: [x * y, y**2 + z**2], (1, 1, 1), 0))
+# z is regular, and only the declared weights say so: grevlex ranks z^3
+# above x, so under unit weights R/I and R/(x) differ
+@example(_probe_case(QQ, lambda x, y, z: [z**3 + x], (3, 3, 1), 2))
+# y is regular; the raw numerators differ by trailing zeros
+@example(_probe_case(GF(32003), lambda x, y, z: [3 * z**3 + 2 * y**2, y * z + 7 * x],
+                    (5, 3, 2), 1))
+def test_restriction_probe_matches_the_colon(case):
+    # the graded route's probe against the tag-variable colon, which shares
+    # none of its route
+    ideal, weights, var = case
+    x = ideal.ring.gens()[var]
+    assert local._regular_by_restriction(ideal, var, weights) == (ideal.colon(x) == ideal)
 
 
 class TestOrdAlong:

@@ -126,17 +126,48 @@ def test_overflow_is_caught_in_one_widening_helper():
     assert len(handlers) == 1 and owners == ["_widening"]
 
 
+def reached_calls(source: str, name: str) -> set[str]:
+    """The names called, as f(...) or a.f(...), by the top-level function
+    ``name`` of a module and by each top-level function of the module it
+    reaches that way."""
+    tree = ast.parse(source)
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    called, todo = set(), [name]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                if callee in defs and callee not in called:
+                    todo.append(callee)
+                called.add(callee)
+    return called
+
+
+TAG_VARIABLE_ROUTE = {"colon", "intersect", "saturate", "eliminate", "adjoin"}
+
+
 def test_graded_colon_takes_no_tag_variable():
     # Bayer's criterion divides one weighted basis: the helper reaches no
     # colon, intersection, saturation or elimination, whose tag-variable
     # route stays independent of it for the probes
-    tree = ast.parse((SRC / "ideals.py").read_text())
-    helper = next(f for f in tree.body
-                  if isinstance(f, ast.FunctionDef) and f.name == "_graded_colon")
-    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-              for node in ast.walk(helper) if isinstance(node, ast.Call)
-              and isinstance(node.func, (ast.Attribute, ast.Name))}
-    assert called and not called & {"colon", "intersect", "saturate", "eliminate", "adjoin"}
+    called = reached_calls((SRC / "ideals.py").read_text(), "_graded_colon")
+    assert called and not called & TAG_VARIABLE_ROUTE
+
+
+def test_restriction_probe_takes_no_tag_variable():
+    # the graded route's probe reads Hilbert numerators off grevlex bases:
+    # it reaches no colon, intersection or tag variable, and so shares
+    # nothing with the colon route it replaces
+    called = reached_calls((SRC / "local.py").read_text(), "_regular_by_restriction")
+    assert {"_numerator", "_hilbert_numerator", "groebner_basis"} <= called
+    assert not called & TAG_VARIABLE_ROUTE
+
+
+def test_reached_calls_follow_module_functions():
+    source = ("def f():\n    return g() + a.h()\n"
+              "def g():\n    return k.colon()\n"
+              "def u():\n    return adjoin()\n")
+    assert reached_calls(source, "f") == {"g", "h", "colon"}
 
 
 def test_sites_are_found():

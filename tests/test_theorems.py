@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from vanish import ideals
+from vanish import ideals, theorems
 from vanish.errors import RingMismatchError
 from vanish.fields import GF, QQ
 from vanish.fixtures import (
@@ -57,6 +57,25 @@ class TestHypotheses:
                                PrimeWitness(Ideal(r3, [y])))
         assert not hyp.radical_sum_is_maximal
         assert not hyp.dims_sum_to_d
+
+    def test_decided_once_per_pair(self, monkeypatch):
+        # the hypotheses do not depend on (m, n): four reports on one pair
+        # decide them once, and each report holds its own copy
+        _, p, q = next(pair for pair in curated_sp2_pairs() if "curve" in pair[0])
+        calls = []
+        decide = theorems._hypotheses
+
+        def counting(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(theorems, "_hypotheses", counting)
+        reports = [verify_sp2(p, q, m, n) for m in (1, 2) for n in (1, 2)]
+        assert len(calls) == 1
+        assert all(r.hypotheses.all_hold for r in reports)
+        reports[-1].hypotheses.notes.append("edited")
+        assert verify_sp2(p, q, 1, 1).hypotheses.notes == []
+        assert reports[0].hypotheses.notes == []
 
     def test_ring_mismatch(self, r2, r3):
         p = PrimeWitness(coordinate_prime(r2, ["x"]))
